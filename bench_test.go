@@ -237,6 +237,7 @@ func BenchmarkDynamicSchedulerThroughput(b *testing.B) {
 		}
 	}
 	build()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles int64
 	for i := 0; i < b.N; i++ {

@@ -17,6 +17,16 @@
 // architectural register is allowed (write-after-write stalls dispatch);
 // with renaming, reservation stations carry tags and any number of defs
 // may be in flight.
+//
+// A dynamic instruction costs no heap allocation and no map operation.
+// Its opcode is decoded once, through a 256-entry table built from isa's
+// own definitions, into a compact record written in place into a
+// fixed-size ring indexed by trace sequence number. The reorder buffer and
+// the fetch queue are two adjacent windows of that ring, so dispatch moves
+// nothing, and each register's newest producer lives in a dense table
+// indexed by register number. docs/SIMCORE.md ("Dynamic machine") covers
+// the layout and why the bounded fetch queue leaves every timing
+// unchanged.
 package dynsched
 
 import (
@@ -39,7 +49,8 @@ type Config struct {
 	BTBSets     int // branch target buffer sets
 	BTBWays     int // branch target buffer associativity
 	Renaming    bool
-	// MaxCycles bounds the simulation (0 = 2G cycles).
+	// MaxCycles bounds the simulation (0 = 2G cycles). A run that has not
+	// drained by then is an error.
 	MaxCycles int64
 	// Mem, if non-nil, models a finite memory hierarchy; misses extend
 	// memory-operation latency. A fresh hierarchy is built per run.
@@ -84,6 +95,9 @@ func Simulate(pr *prog.Program, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("dynsched: ROBSize %d exceeds the 64-entry scoreboard window", cfg.ROBSize)
 	}
 	p := newPipeline(cfg)
+	for _, proc := range pr.ProcList() {
+		p.reserveRegs(proc.MaxReg())
+	}
 	if cfg.Mem != nil {
 		mh, err := memhier.New(*cfg.Mem)
 		if err != nil {
@@ -91,59 +105,143 @@ func Simulate(pr *prog.Program, cfg Config) (*Result, error) {
 		}
 		p.mh = mh
 	}
-	ref, err := sim.Run(pr, sim.RefConfig{
-		OnInst: func(ev sim.InstEvent) { p.feed(ev) },
-	})
+	ref, err := sim.Run(pr, sim.RefConfig{OnInst: p.feed})
 	if err != nil {
 		return nil, fmt.Errorf("dynsched: functional run: %w", err)
 	}
 	p.drainAll()
+	if p.dropped || p.tail != p.head {
+		return nil, fmt.Errorf("dynsched: exceeded %d cycles", p.maxCycles)
+	}
 	res := p.result()
 	res.Out = ref.Out
 	res.MemHash = ref.MemHash
 	return res, nil
 }
 
-// rec is one dynamic instruction in the pipeline.
-type rec struct {
-	op      isa.Op
-	class   isa.Class
-	dst     isa.Reg
-	srcs    [2]isa.Reg
-	id      int // static instruction ID (the "PC" for the BTB)
-	addr    uint32
-	size    int
-	taken   bool
-	nextID  int // dynamic target ID for JR
-	isLoad  bool
-	isStore bool
+// Register operand fields an opcode reads or writes. The values double as
+// the register numbers of the probe instruction buildOpTable decodes, so
+// isa's Defs and Uses report fields directly.
+const (
+	fieldNone = iota // no operand (R0)
+	fieldRd
+	fieldRs
+	fieldRt
+)
 
-	// Pipeline state.
-	deps     uint64 // producer mask: ROB positions this entry waits on
-	doneAt   int64  // cycle the result is available (issued entries)
-	seq      int64  // global sequence number
-	mispred  bool
-	isBranch bool
+// Opcode flags.
+const (
+	flagLoad = 1 << iota
+	flagStore
+	flagCondBranch
+	flagJR
+)
+
+// opInfo is everything the timing model needs to know about an opcode.
+type opInfo struct {
+	latency int64
+	class   isa.Class
+	size    uint8    // memory access size in bytes (0 for non-memory ops)
+	flags   uint8    // flagLoad, flagStore, flagCondBranch, flagJR
+	def     uint8    // field written (fieldNone if none)
+	uses    [2]uint8 // fields read, in isa.Inst.Uses order
+}
+
+// opTable decodes every opcode byte once.
+var opTable = buildOpTable()
+
+// buildOpTable derives each opcode's entry from isa's own functions, so
+// isa stays the single source of truth: Defs and Uses on a probe
+// instruction whose Rd, Rs and Rt are the field codes, ClassOf, Latency
+// and the load/store/branch predicates.
+func buildOpTable() (t [256]opInfo) {
+	var tmp []isa.Reg
+	for i := range t {
+		op := isa.Op(i)
+		info := &t[i]
+		info.latency = int64(isa.Latency(op))
+		info.class = isa.ClassOf(op)
+		info.size = memSize(op)
+		if isa.IsLoad(op) {
+			info.flags |= flagLoad
+		}
+		if isa.IsStore(op) {
+			info.flags |= flagStore
+		}
+		if isa.IsCondBranch(op) {
+			info.flags |= flagCondBranch
+		}
+		if op == isa.JR {
+			info.flags |= flagJR
+		}
+		probe := isa.Inst{Op: op, Rd: fieldRd, Rs: fieldRs, Rt: fieldRt}
+		if tmp = probe.Defs(tmp[:0]); len(tmp) > 0 {
+			info.def = uint8(tmp[0])
+		}
+		for j, r := range probe.Uses(tmp[:0]) {
+			if j < len(info.uses) {
+				info.uses[j] = uint8(r)
+			}
+		}
+	}
+	return t
+}
+
+func memSize(op isa.Op) uint8 {
+	switch op {
+	case isa.LW, isa.SW:
+		return 4
+	case isa.LH, isa.LHU, isa.SH:
+		return 2
+	case isa.LB, isa.LBU, isa.SB:
+		return 1
+	}
+	return 0
+}
+
+// rec is one dynamic instruction: what feed decodes from the trace, plus
+// its pipeline state once dispatched.
+type rec struct {
+	deps    uint64     // producer mask: ROB positions this entry waits on
+	doneAt  int64      // cycle the result is available (issued entries)
+	id      int        // static instruction ID (the "PC" for the BTB)
+	nextID  int        // dynamic target ID for JR
+	addr    uint32     // effective address of a load or store
+	dst     isa.Reg    // register written (R0 = none)
+	srcs    [2]isa.Reg // registers read (R0 = none)
+	op      isa.Op
+	taken   bool // conditional branch outcome
+	mispred bool
 }
 
 // pipeline is the out-of-order machine state.
 //
+// Every traced instruction lives in ring, at its trace sequence number
+// modulo the ring's power-of-two size, from the moment feed decodes it
+// until it retires. [head, dispatched) is the reorder buffer, oldest
+// first, and [dispatched, tail) is the fetch queue; dispatch advances the
+// boundary between them and retirement advances head. The window never
+// spans more than ROBSize + fetchBound + 1 entries, which the ring covers.
+//
 // Ready/wakeup tracking is a bitmap scoreboard over ROB positions (bit i
-// = p.rob[i], bit 0 = oldest; the window is capped at 64 entries).
-// Instead of per-operand producer handles resolved through a results
-// map, each entry carries a one-word producer mask (rec.deps) and the
-// pipeline keeps one-word occupancy bitmaps; an entry is ready exactly
-// when deps &^ done == 0, a producer's completion wakes every dependent
-// with a single OR into the done bitmap, and issue selection walks the
-// ready bitmap oldest-first with find-first-set. Retirement shifts every
-// bitmap right, so positions stay age-ordered and retired producers
-// drain out of the masks for free.
+// = sequence number head+i, bit 0 = oldest; the window is capped at 64
+// entries). Each entry carries a one-word producer mask (rec.deps) and
+// the pipeline keeps one-word occupancy bitmaps; an entry is ready
+// exactly when deps &^ done == 0, a producer's completion wakes every
+// dependent with a single OR into the done bitmap, and issue selection
+// walks the ready bitmap oldest-first with find-first-set. Retirement
+// shifts every bitmap right, so positions stay age-ordered and retired
+// producers drain out of the masks for free.
 type pipeline struct {
 	cfg   Config
 	cycle int64
 
-	fetchQ []rec // instructions awaiting dispatch (from the trace)
-	rob    []rec // dispatched, not yet retired (index 0 = oldest)
+	ring                   []rec
+	mask                   int64 // len(ring) - 1
+	head, dispatched, tail int64 // sequence-number window bounds
+	// fetchBound caps the fetch queue: feed advances the machine while
+	// more than fetchBound instructions wait to dispatch.
+	fetchBound int64
 
 	// Scoreboard bitmaps over ROB positions.
 	issuedM uint64 // issued (execution started)
@@ -152,95 +250,109 @@ type pipeline struct {
 	memM    uint64 // loads and stores
 	muldivM uint64 // multiply/divide entries (non-pipelined unit)
 
-	// regProducer maps a register to the seq of its newest in-flight
-	// producer; seqs are consecutive in the ROB, so seq - rob[0].seq is
-	// the producer's scoreboard position.
-	regProducer map[isa.Reg]int64
-	// inflightDefs counts in-flight defs per register (no-renaming check).
-	inflightDefs map[isa.Reg]int
+	// producer holds, per register, the sequence number of its newest
+	// dispatched def, or -1. Retirement is in order, so that def is still
+	// in flight exactly when the number is >= head, and then so is every
+	// in-flight def of the register: the no-renaming WAW check and the
+	// operand lookup both read this one entry.
+	producer []int64
 
 	rsUsed    int
 	btb       *btb
 	mh        *memhier.Hierarchy
 	memStalls int64
 
-	// fetchBlockedBy is the seq of an unresolved mispredicted branch
-	// (fetch stalls until it resolves), or -1.
+	// fetchBlockedBy is the sequence number of an unresolved mispredicted
+	// branch (fetch stalls until it resolves), or -1.
 	fetchBlockedBy int64
 
-	nextSeq     int64
-	insts       int64
+	// dropped records that feed discarded trace instructions because the
+	// run had already reached maxCycles.
+	dropped bool
+
 	branches    int64
 	mispredicts int64
 	maxCycles   int64
 }
+
+// fetchQueueMin is the smallest fetch-queue bound. Any bound of at least
+// FetchWidth gives identical timing (see feed); a larger one only batches
+// the switches between the functional run and the timing model.
+const fetchQueueMin = 32
 
 func newPipeline(cfg Config) *pipeline {
 	mc := cfg.MaxCycles
 	if mc == 0 {
 		mc = 2_000_000_000
 	}
-	return &pipeline{
+	bound := max(cfg.FetchWidth, fetchQueueMin)
+	size := 1 << bits.Len(uint(max(cfg.ROBSize, 0)+bound)) // > ROBSize+bound
+	p := &pipeline{
 		cfg:            cfg,
-		regProducer:    map[isa.Reg]int64{},
-		inflightDefs:   map[isa.Reg]int{},
+		ring:           make([]rec, size),
+		mask:           int64(size - 1),
+		fetchBound:     int64(bound),
 		btb:            newBTB(cfg.BTBSets, cfg.BTBWays),
 		fetchBlockedBy: -1,
 		maxCycles:      mc,
 	}
+	p.reserveRegs(isa.NumArchRegs - 1)
+	return p
 }
 
-// feed queues one traced instruction and lets the pipeline advance while
-// the queue is saturated, to bound memory.
+// reserveRegs grows the producer table to cover register r. Simulate
+// sizes it from the program up front; feed grows it on demand for
+// instruction streams that come without a program.
+func (p *pipeline) reserveRegs(r isa.Reg) {
+	for int(r) >= len(p.producer) {
+		p.producer = append(p.producer, -1)
+	}
+}
+
+// at returns the ROB entry at position i (0 = oldest).
+func (p *pipeline) at(i int) *rec {
+	return &p.ring[(p.head+int64(i))&p.mask]
+}
+
+// robLen is the number of dispatched, unretired instructions.
+func (p *pipeline) robLen() int { return int(p.dispatched - p.head) }
+
+// feed decodes one traced instruction into the tail of the fetch queue,
+// then advances the machine while the queue holds more than fetchBound
+// instructions. Dispatch reads only the queue's head and takes at most
+// FetchWidth <= fetchBound instructions a cycle, so no cycle stepped here
+// ever finds the queue short: every cycle sees what it would with the
+// whole trace queued, and the timing is independent of the bound. Once
+// the run reaches maxCycles the rest of the trace is dropped.
 func (p *pipeline) feed(ev sim.InstEvent) {
+	if p.cycle >= p.maxCycles {
+		p.dropped = true
+		return
+	}
 	in := ev.Inst
-	r := rec{
-		op:      in.Op,
-		class:   isa.ClassOf(in.Op),
-		id:      in.ID,
-		addr:    ev.Addr,
-		taken:   ev.Taken,
-		nextID:  ev.NextID,
-		isLoad:  isa.IsLoad(in.Op),
-		isStore: isa.IsStore(in.Op),
-		dst:     isa.R0,
+	info := &opTable[in.Op]
+	fields := [4]isa.Reg{isa.R0, in.Rd, in.Rs, in.Rt}
+	// Field by field rather than from a composite literal, which the
+	// compiler builds on the stack and copies in wide words that stall on
+	// store forwarding.
+	e := &p.ring[p.tail&p.mask]
+	e.deps, e.doneAt, e.mispred = 0, 0, false
+	e.id, e.nextID, e.addr = in.ID, ev.NextID, ev.Addr
+	e.dst = fields[info.def]
+	e.srcs[0], e.srcs[1] = fields[info.uses[0]], fields[info.uses[1]]
+	e.op, e.taken = in.Op, ev.Taken
+	if r := max(e.dst, e.srcs[0], e.srcs[1]); int(r) >= len(p.producer) {
+		p.reserveRegs(r)
 	}
-	var tmp []isa.Reg
-	tmp = in.Defs(tmp)
-	if len(tmp) > 0 {
-		r.dst = tmp[0]
-	}
-	r.srcs = [2]isa.Reg{isa.R0, isa.R0}
-	tmp = in.Uses(tmp[:0])
-	for i, u := range tmp {
-		if i < 2 {
-			r.srcs[i] = u
-		}
-	}
-	r.isBranch = isa.IsCondBranch(in.Op) || in.Op == isa.JR
-	size, _ := memSize(in.Op)
-	r.size = size
-	p.fetchQ = append(p.fetchQ, r)
-	for len(p.fetchQ) > 4096 && p.cycle < p.maxCycles {
+	p.tail++
+	for p.tail-p.dispatched > p.fetchBound && p.cycle < p.maxCycles {
 		p.step()
 	}
 }
 
-func memSize(op isa.Op) (int, bool) {
-	switch op {
-	case isa.LW, isa.SW:
-		return 4, true
-	case isa.LH, isa.LHU, isa.SH:
-		return 2, true
-	case isa.LB, isa.LBU, isa.SB:
-		return 1, true
-	}
-	return 0, false
-}
-
-// drainAll runs the pipeline until empty.
+// drainAll runs the pipeline until empty (or out of cycles).
 func (p *pipeline) drainAll() {
-	for (len(p.fetchQ) > 0 || len(p.rob) > 0) && p.cycle < p.maxCycles {
+	for p.tail != p.head && p.cycle < p.maxCycles {
 		p.step()
 	}
 }
@@ -248,7 +360,7 @@ func (p *pipeline) drainAll() {
 func (p *pipeline) result() *Result {
 	r := &Result{
 		Cycles:      p.cycle,
-		Insts:       p.insts,
+		Insts:       p.dispatched,
 		Branches:    p.branches,
 		Mispredicts: p.mispredicts,
 		MemStalls:   p.memStalls,
@@ -273,30 +385,23 @@ func (p *pipeline) step() {
 // Retired producers thereby drain out of every waiter's deps mask.
 func (p *pipeline) retire() {
 	n := 0
-	for n < p.cfg.RetireWidth && n < len(p.rob) {
-		head := &p.rob[n]
-		if p.doneM>>uint(n)&1 == 0 || head.doneAt > p.cycle {
+	for n < p.cfg.RetireWidth && n < p.robLen() {
+		if p.doneM>>uint(n)&1 == 0 || p.at(n).doneAt > p.cycle {
 			break
-		}
-		if head.dst != isa.R0 {
-			p.inflightDefs[head.dst]--
-			if p.regProducer[head.dst] == head.seq {
-				delete(p.regProducer, head.dst)
-			}
 		}
 		n++
 	}
 	if n == 0 {
 		return
 	}
-	p.rob = p.rob[n:]
+	p.head += int64(n)
 	p.issuedM >>= uint(n)
 	p.doneM >>= uint(n)
 	p.storeM >>= uint(n)
 	p.memM >>= uint(n)
 	p.muldivM >>= uint(n)
-	for i := range p.rob {
-		p.rob[i].deps >>= uint(n)
+	for s := p.head; s < p.dispatched; s++ {
+		p.ring[s&p.mask].deps >>= uint(n)
 	}
 }
 
@@ -316,10 +421,10 @@ func (p *pipeline) issue() {
 	// Completion sweep over issued-but-pending entries.
 	for m := p.issuedM &^ p.doneM; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		e := &p.rob[i]
+		e := p.at(i)
 		if e.doneAt <= p.cycle {
 			p.doneM |= 1 << uint(i)
-			if e.mispred && p.fetchBlockedBy == e.seq {
+			if e.mispred && p.fetchBlockedBy == p.head+int64(i) {
 				p.fetchBlockedBy = -1 // redirect complete; fetch resumes
 			}
 		}
@@ -327,7 +432,7 @@ func (p *pipeline) issue() {
 	// Busy horizon of the non-pipelined multiply/divide unit.
 	var muldivBusy int64 = -1
 	for m := p.muldivM & p.issuedM &^ p.doneM; m != 0; m &= m - 1 {
-		if e := &p.rob[bits.TrailingZeros64(m)]; e.doneAt > muldivBusy {
+		if e := p.at(bits.TrailingZeros64(m)); e.doneAt > muldivBusy {
 			muldivBusy = e.doneAt
 		}
 	}
@@ -336,27 +441,28 @@ func (p *pipeline) issue() {
 	var ready uint64
 	for m := p.activeM() &^ p.issuedM; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		if p.rob[i].deps&^p.doneM == 0 {
+		if p.at(i).deps&^p.doneM == 0 {
 			ready |= 1 << uint(i)
 		}
 	}
 	fu := fuState{}
 	for m := ready; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros64(m)
-		e := &p.rob[i]
+		e := p.at(i)
+		info := &opTable[e.op]
 		older := uint64(1)<<uint(i) - 1
 		// Memory ordering: a load may not issue before every earlier
 		// store has executed (addresses unknown until then); a store may
 		// not issue before earlier memory operations to overlapping
 		// addresses have issued.
-		if e.isLoad && !p.earlierStoresDone(older, e) {
+		if info.flags&flagLoad != 0 && !p.earlierStoresDone(older, e) {
 			continue
 		}
-		if e.isStore && !p.earlierMemIssued(older, e) {
+		if info.flags&flagStore != 0 && !p.earlierMemIssued(older, e) {
 			continue
 		}
 		// Functional unit availability.
-		switch e.class {
+		switch info.class {
 		case isa.ClassALU, isa.ClassNone:
 			if fu.alu >= 2 {
 				continue
@@ -381,12 +487,12 @@ func (p *pipeline) issue() {
 			if muldivBusy > p.cycle {
 				continue
 			}
-			muldivBusy = p.cycle + int64(isa.Latency(e.op))
+			muldivBusy = p.cycle + info.latency
 		}
 		p.issuedM |= 1 << uint(i)
-		e.doneAt = p.cycle + int64(isa.Latency(e.op))
-		if (e.isLoad || e.isStore) && p.mh != nil {
-			s := p.mh.Access(p.cycle, e.id, e.addr, e.isStore)
+		e.doneAt = p.cycle + info.latency
+		if info.flags&(flagLoad|flagStore) != 0 && p.mh != nil {
+			s := p.mh.Access(p.cycle, e.id, e.addr, info.flags&flagStore != 0)
 			e.doneAt += s
 			p.memStalls += s
 		}
@@ -396,10 +502,10 @@ func (p *pipeline) issue() {
 
 // activeM is the occupancy bitmap: one bit per current ROB entry.
 func (p *pipeline) activeM() uint64 {
-	if len(p.rob) >= 64 {
-		return ^uint64(0)
+	if n := p.robLen(); n < 64 {
+		return uint64(1)<<uint(n) - 1
 	}
-	return uint64(1)<<uint(len(p.rob)) - 1
+	return ^uint64(0)
 }
 
 // earlierStoresDone reports whether all stores in older (a position
@@ -412,7 +518,7 @@ func (p *pipeline) earlierStoresDone(older uint64, e *rec) bool {
 	}
 	// Issued-but-pending older stores block only on address overlap.
 	for m := p.storeM & older &^ p.doneM; m != 0; m &= m - 1 {
-		if overlaps(&p.rob[bits.TrailingZeros64(m)], e) {
+		if overlaps(p.at(bits.TrailingZeros64(m)), e) {
 			return false
 		}
 	}
@@ -423,7 +529,7 @@ func (p *pipeline) earlierStoresDone(older uint64, e *rec) bool {
 // have issued (write-after-read and write-after-write ordering).
 func (p *pipeline) earlierMemIssued(older uint64, e *rec) bool {
 	for m := p.memM & older &^ p.issuedM; m != 0; m &= m - 1 {
-		if overlaps(&p.rob[bits.TrailingZeros64(m)], e) {
+		if overlaps(p.at(bits.TrailingZeros64(m)), e) {
 			return false
 		}
 	}
@@ -431,180 +537,171 @@ func (p *pipeline) earlierMemIssued(older uint64, e *rec) bool {
 }
 
 func overlaps(a, b *rec) bool {
-	return a.addr < b.addr+uint32(b.size) && b.addr < a.addr+uint32(a.size)
+	return a.addr < b.addr+uint32(opTable[b.op].size) && b.addr < a.addr+uint32(opTable[a.op].size)
 }
 
 // dispatch moves instructions from the fetch queue into the ROB and
 // reservation stations, up to FetchWidth per cycle, respecting structural
 // limits, the no-renaming WAW restriction, and mispredict fetch stalls.
+// The queue's head becomes the ROB's newest entry where it stands.
 func (p *pipeline) dispatch() {
 	for n := 0; n < p.cfg.FetchWidth; n++ {
-		if len(p.fetchQ) == 0 || p.fetchBlockedBy >= 0 {
+		if p.dispatched == p.tail || p.fetchBlockedBy >= 0 {
 			return
 		}
-		if len(p.rob) >= p.cfg.ROBSize || p.rsUsed >= p.cfg.NumRS {
+		if p.robLen() >= p.cfg.ROBSize || p.rsUsed >= p.cfg.NumRS {
 			return
 		}
-		e := p.fetchQ[0]
-		if !p.cfg.Renaming && e.dst != isa.R0 && p.inflightDefs[e.dst] > 0 {
+		seq := p.dispatched
+		e := &p.ring[seq&p.mask]
+		if !p.cfg.Renaming && e.dst != isa.R0 && p.producer[e.dst] >= p.head {
 			return // WAW: wait for the previous def of this register
 		}
-		p.fetchQ = p.fetchQ[1:]
-		e.seq = p.nextSeq
-		p.nextSeq++
-		p.insts++
+		p.dispatched++
 
-		// Source operands: a producer still in flight (regProducer only
-		// holds in-ROB seqs, and seqs are consecutive) is one bit in the
+		// Source operands: a producer still in flight is one bit in the
 		// entry's producer mask; a producer whose result is already
 		// available contributes nothing.
-		e.deps = 0
 		for _, s := range e.srcs {
 			if s == isa.R0 {
 				continue
 			}
-			if q, ok := p.regProducer[s]; ok {
-				if pos := uint(q - p.rob[0].seq); p.doneM>>pos&1 == 0 {
+			if q := p.producer[s]; q >= p.head {
+				if pos := uint(q - p.head); p.doneM>>pos&1 == 0 {
 					e.deps |= 1 << pos
 				}
 			}
 		}
 		if e.dst != isa.R0 {
-			p.regProducer[e.dst] = e.seq
-			p.inflightDefs[e.dst]++
+			p.producer[e.dst] = seq
 		}
 
 		// Branch prediction.
-		if isa.IsCondBranch(e.op) {
+		info := &opTable[e.op]
+		if info.flags&flagCondBranch != 0 {
 			p.branches++
 			pred := p.btb.predictCond(e.id)
 			p.btb.updateCond(e.id, e.taken)
 			if pred != e.taken {
 				p.mispredicts++
 				e.mispred = true
-				p.fetchBlockedBy = e.seq
+				p.fetchBlockedBy = seq
 			}
-		} else if e.op == isa.JR {
+		} else if info.flags&flagJR != 0 {
 			target, hit := p.btb.predictTarget(e.id)
 			p.btb.updateTarget(e.id, e.nextID)
 			if !hit || target != e.nextID {
 				p.mispredicts++
 				e.mispred = true
-				p.fetchBlockedBy = e.seq
+				p.fetchBlockedBy = seq
 			}
 		}
 
-		pos := uint(len(p.rob))
-		if e.isStore {
-			p.storeM |= 1 << pos
+		bit := uint64(1) << uint(seq-p.head)
+		if info.flags&flagStore != 0 {
+			p.storeM |= bit
 		}
-		if e.isLoad || e.isStore {
-			p.memM |= 1 << pos
+		if info.flags&(flagLoad|flagStore) != 0 {
+			p.memM |= bit
 		}
-		if e.class == isa.ClassMulDiv {
-			p.muldivM |= 1 << pos
+		if info.class == isa.ClassMulDiv {
+			p.muldivM |= bit
 		}
-		p.rob = append(p.rob, e)
 		p.rsUsed++
 	}
 }
 
 // btb is a set-associative branch target buffer with 2-bit counters.
 type btb struct {
-	sets int
-	ways int
-	// entries[set][way]
-	tags     [][]int
-	counters [][]uint8
-	targets  [][]int
-	lru      [][]int64
-	tick     int64
+	sets    int
+	ways    int
+	entries []btbEntry // set-major: entries[set*ways+way]
+	tick    int64
+}
+
+type btbEntry struct {
+	tag     int // branch PC, -1 when empty
+	target  int
+	lru     int64
+	counter uint8
 }
 
 func newBTB(sets, ways int) *btb {
-	b := &btb{sets: sets, ways: ways}
-	b.tags = make([][]int, sets)
-	b.counters = make([][]uint8, sets)
-	b.targets = make([][]int, sets)
-	b.lru = make([][]int64, sets)
-	for i := 0; i < sets; i++ {
-		b.tags[i] = make([]int, ways)
-		b.counters[i] = make([]uint8, ways)
-		b.targets[i] = make([]int, ways)
-		b.lru[i] = make([]int64, ways)
-		for w := 0; w < ways; w++ {
-			b.tags[i][w] = -1
-		}
+	b := &btb{sets: sets, ways: ways, entries: make([]btbEntry, sets*ways)}
+	for i := range b.entries {
+		b.entries[i].tag = -1
 	}
 	return b
 }
 
-func (b *btb) find(pc int) (set, way int, hit bool) {
-	set = pc % b.sets
-	for w := 0; w < b.ways; w++ {
-		if b.tags[set][w] == pc {
-			return set, w, true
+// set returns pc's set.
+func (b *btb) set(pc int) []btbEntry {
+	s := pc % b.sets * b.ways
+	return b.entries[s : s+b.ways]
+}
+
+// find returns pc's entry, or nil on a miss.
+func (b *btb) find(pc int) *btbEntry {
+	set := b.set(pc)
+	for w := range set {
+		if set[w].tag == pc {
+			return &set[w]
 		}
 	}
-	return set, -1, false
+	return nil
 }
 
 // predictCond predicts a conditional branch: taken iff the 2-bit counter
 // is ≥ 2; a miss predicts not-taken.
 func (b *btb) predictCond(pc int) bool {
-	if set, way, hit := b.find(pc); hit {
-		return b.counters[set][way] >= 2
+	if e := b.find(pc); e != nil {
+		return e.counter >= 2
 	}
 	return false
 }
 
 // updateCond trains the counter (allocating on first sight).
 func (b *btb) updateCond(pc int, taken bool) {
-	set, way := b.allocate(pc)
-	c := b.counters[set][way]
-	if taken && c < 3 {
-		c++
+	e := b.allocate(pc)
+	if taken && e.counter < 3 {
+		e.counter++
 	}
-	if !taken && c > 0 {
-		c--
+	if !taken && e.counter > 0 {
+		e.counter--
 	}
-	b.counters[set][way] = c
-	b.lru[set][way] = b.tick
+	e.lru = b.tick
 	b.tick++
 }
 
 // predictTarget predicts an indirect target by last-seen target.
 func (b *btb) predictTarget(pc int) (int, bool) {
-	if set, way, hit := b.find(pc); hit {
-		return b.targets[set][way], true
+	if e := b.find(pc); e != nil {
+		return e.target, true
 	}
 	return 0, false
 }
 
 // updateTarget records the latest indirect target.
 func (b *btb) updateTarget(pc, target int) {
-	set, way := b.allocate(pc)
-	b.targets[set][way] = target
-	b.lru[set][way] = b.tick
+	e := b.allocate(pc)
+	e.target = target
+	e.lru = b.tick
 	b.tick++
 }
 
-// allocate returns the way for pc, evicting LRU on conflict.
-func (b *btb) allocate(pc int) (int, int) {
-	set, way, hit := b.find(pc)
-	if hit {
-		return set, way
+// allocate returns pc's entry, evicting the set's LRU way on a miss.
+func (b *btb) allocate(pc int) *btbEntry {
+	if e := b.find(pc); e != nil {
+		return e
 	}
+	set := b.set(pc)
 	victim := 0
-	for w := 1; w < b.ways; w++ {
-		if b.lru[set][w] < b.lru[set][victim] {
+	for w := 1; w < len(set); w++ {
+		if set[w].lru < set[victim].lru {
 			victim = w
 		}
 	}
-	b.tags[set][victim] = pc
-	b.counters[set][victim] = 1 // weakly not-taken
-	b.targets[set][victim] = 0
-	b.lru[set][victim] = b.tick
+	set[victim] = btbEntry{tag: pc, counter: 1, lru: b.tick} // weakly not-taken
 	b.tick++
-	return set, victim
+	return &set[victim]
 }

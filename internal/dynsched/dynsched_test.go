@@ -1,6 +1,7 @@
 package dynsched
 
 import (
+	"strings"
 	"testing"
 
 	"boosting/internal/isa"
@@ -218,7 +219,7 @@ func TestBTBUnit(t *testing.T) {
 	b.updateCond(300, true)
 	hits := 0
 	for _, pc := range []int{100, 200, 300} {
-		if _, _, hit := b.find(pc); hit {
+		if b.find(pc) != nil {
 			hits++
 		}
 	}
@@ -274,5 +275,51 @@ func TestROBSizeMatters(t *testing.T) {
 	}
 	if big > paper {
 		t.Errorf("64-entry ROB (%d cycles) should not be slower than 16-entry (%d)", big, paper)
+	}
+}
+
+// TestMaxCyclesIsAnError: a run that reaches MaxCycles before the
+// pipeline drains fails with an error naming the bound, and the rest of
+// the trace is dropped instead of queued, so memory stays bounded however
+// long the program runs.
+func TestMaxCyclesIsAnError(t *testing.T) {
+	cfg := Default()
+	cfg.MaxCycles = 100
+	res, err := Simulate(buildLoop(1000), cfg)
+	if err == nil {
+		t.Fatalf("run truncated at %d cycles returned no error", res.Cycles)
+	}
+	if !strings.Contains(err.Error(), "100 cycles") {
+		t.Errorf("error %q does not name the 100-cycle bound", err)
+	}
+
+	p := newPipeline(cfg)
+	ref, err := sim.Run(buildLoop(100_000), sim.RefConfig{OnInst: p.feed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.dropped {
+		t.Error("trace past the bound was not dropped")
+	}
+	if p.tail-p.head > int64(len(p.ring)) || p.tail > 1000 {
+		t.Errorf("queued %d of %d traced instructions (%d in flight) after the bound",
+			p.tail, ref.Insts, p.tail-p.head)
+	}
+}
+
+// TestSimulateAllocationFree: a dynamic instruction costs no heap
+// allocation, so a run allocates as often for a 20,000-iteration loop as
+// for a 200-iteration one.
+func TestSimulateAllocationFree(t *testing.T) {
+	allocs := func(n int32) float64 {
+		pr := buildLoop(n)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Simulate(pr, Default()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, long := allocs(200), allocs(20_000); short != long {
+		t.Errorf("%v allocations for 200 iterations, %v for 20000", short, long)
 	}
 }

@@ -60,6 +60,14 @@ func TestScoreboardDependencyChains(t *testing.T) {
 			cycles: 7,
 		},
 		{
+			// The same chain through virtual registers: fed without a
+			// program, the producer table grows on demand and the
+			// timing matches the architectural chain.
+			name:   "serial chain, virtual registers",
+			insts:  []isa.Inst{alu(40, 0, 0), alu(41, 40, 0), alu(42, 41, 0), alu(43, 42, 0)},
+			cycles: 7,
+		},
+		{
 			// Two independent chains interleave perfectly on the two ALUs:
 			// six dependent ops finish only two cycles after four
 			// independent ones, proving out-of-order wakeup.
@@ -120,8 +128,8 @@ func TestScoreboardDependencyChains(t *testing.T) {
 				t.Errorf("scoreboard bitmaps not drained: issued=%b done=%b store=%b mem=%b muldiv=%b",
 					p.issuedM, p.doneM, p.storeM, p.memM, p.muldivM)
 			}
-			if p.insts != int64(len(tc.insts)) {
-				t.Errorf("dispatched %d insts, want %d", p.insts, len(tc.insts))
+			if p.dispatched != int64(len(tc.insts)) {
+				t.Errorf("dispatched %d insts, want %d", p.dispatched, len(tc.insts))
 			}
 		})
 	}
@@ -152,13 +160,11 @@ func TestScoreboardMemoryOrdering(t *testing.T) {
 		p.feed(sim.InstEvent{Inst: &insts[0], Addr: 64})
 		p.feed(sim.InstEvent{Inst: &insts[1], Addr: loadAddr})
 		for p.cycle < 1000 {
-			if base := int64(1); len(p.rob) > 0 {
-				if pos := base - p.rob[0].seq; pos >= 0 && pos < int64(len(p.rob)) &&
-					p.issuedM>>uint(pos)&1 == 1 {
-					return p.cycle
-				}
+			if pos := 1 - p.head; pos >= 0 && pos < int64(p.robLen()) &&
+				p.issuedM>>uint(pos)&1 == 1 {
+				return p.cycle
 			}
-			if len(p.fetchQ) == 0 && len(p.rob) == 0 {
+			if p.tail == p.head {
 				break
 			}
 			p.step()
@@ -187,14 +193,14 @@ func TestScoreboardBitmapInvariants(t *testing.T) {
 	p.feed(sim.InstEvent{Inst: &i1})
 
 	p.step() // cycle 0: both dispatch
-	if len(p.rob) != 2 {
-		t.Fatalf("after dispatch: rob=%d", len(p.rob))
+	if p.robLen() != 2 {
+		t.Fatalf("after dispatch: rob=%d", p.robLen())
 	}
-	if p.rob[0].deps != 0 {
-		t.Errorf("producer has deps %b, want none", p.rob[0].deps)
+	if p.at(0).deps != 0 {
+		t.Errorf("producer has deps %b, want none", p.at(0).deps)
 	}
-	if p.rob[1].deps != 1 {
-		t.Errorf("consumer deps = %b, want bit 0 (its producer's position)", p.rob[1].deps)
+	if p.at(1).deps != 1 {
+		t.Errorf("consumer deps = %b, want bit 0 (its producer's position)", p.at(1).deps)
 	}
 
 	p.step() // cycle 1: producer issues; consumer blocked on deps
@@ -211,19 +217,19 @@ func TestScoreboardBitmapInvariants(t *testing.T) {
 	}
 
 	p.step() // cycle 3: producer retires; masks shift right
-	if len(p.rob) != 1 {
-		t.Fatalf("after cycle 3: rob=%d, want 1", len(p.rob))
+	if p.robLen() != 1 {
+		t.Fatalf("after cycle 3: rob=%d, want 1", p.robLen())
 	}
-	if p.rob[0].deps != 0 {
-		t.Errorf("retired producer still in consumer deps: %b", p.rob[0].deps)
+	if p.at(0).deps != 0 {
+		t.Errorf("retired producer still in consumer deps: %b", p.at(0).deps)
 	}
 	if p.issuedM != 1 || p.doneM != 1 {
 		t.Errorf("masks not shifted: issuedM=%b doneM=%b", p.issuedM, p.doneM)
 	}
 
 	p.drainAll()
-	if len(p.rob) != 0 || p.issuedM != 0 || p.doneM != 0 {
-		t.Errorf("pipeline not drained: rob=%d issuedM=%b doneM=%b", len(p.rob), p.issuedM, p.doneM)
+	if p.robLen() != 0 || p.issuedM != 0 || p.doneM != 0 {
+		t.Errorf("pipeline not drained: rob=%d issuedM=%b doneM=%b", p.robLen(), p.issuedM, p.doneM)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"testing"
+	"time"
 
 	"boosting/internal/workloads"
 )
@@ -76,5 +77,27 @@ func TestMemHierAblation(t *testing.T) {
 	out := FormatMemHier(rows)
 	if len(out) == 0 {
 		t.Error("FormatMemHier returned nothing")
+	}
+}
+
+// TestMemHierSimTimeWithinWall: a lockstep batch charges its wall time to
+// the simulate counter once, spread over its lanes, so on one worker the
+// ablation's simulate time cannot exceed the call's own wall time.
+func TestMemHierSimTimeWithinWall(t *testing.T) {
+	s := NewSuite()
+	awk, err := workloads.ByName("awk")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workloads = []*workloads.Workload{awk}
+	s.Runner.Parallelism = 1
+
+	start := time.Now()
+	if _, err := s.MemHierAblation(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	if sim := s.Metrics().SimTime; sim > wall {
+		t.Errorf("simulate time %v exceeds the ablation's %v wall time", sim, wall)
 	}
 }

@@ -146,20 +146,20 @@ func (o OptionsRequest) validate() error {
 // sentinel (l2_sets: -1 removes the L2, write_buffer: -1 makes store
 // misses block like loads).
 type MemRequest struct {
-	L1Sets      int    `json:"l1_sets,omitempty"`
-	L1Ways      int    `json:"l1_ways,omitempty"`
-	L1LineBytes int    `json:"l1_line_bytes,omitempty"`
-	L1Policy    string `json:"l1_policy,omitempty"` // lru (default), fifo, random
-	L2Sets      int    `json:"l2_sets,omitempty"`   // -1 disables the L2
-	L2Ways      int    `json:"l2_ways,omitempty"`
-	L2LineBytes int    `json:"l2_line_bytes,omitempty"`
-	L2Policy    string `json:"l2_policy,omitempty"`
-	L2Latency   int64  `json:"l2_latency,omitempty"`
-	MemLatency  int64  `json:"mem_latency,omitempty"`
-	MSHRs       int    `json:"mshrs,omitempty"`
-	WriteBuffer int    `json:"write_buffer,omitempty"` // -1 disables it
-	Prefetch    string `json:"prefetch,omitempty"`     // none (default), stride, stream
-	PrefetchDegree int `json:"prefetch_degree,omitempty"`
+	L1Sets         int    `json:"l1_sets,omitempty"`
+	L1Ways         int    `json:"l1_ways,omitempty"`
+	L1LineBytes    int    `json:"l1_line_bytes,omitempty"`
+	L1Policy       string `json:"l1_policy,omitempty"` // lru (default), fifo, random
+	L2Sets         int    `json:"l2_sets,omitempty"`   // -1 disables the L2
+	L2Ways         int    `json:"l2_ways,omitempty"`
+	L2LineBytes    int    `json:"l2_line_bytes,omitempty"`
+	L2Policy       string `json:"l2_policy,omitempty"`
+	L2Latency      int64  `json:"l2_latency,omitempty"`
+	MemLatency     int64  `json:"mem_latency,omitempty"`
+	MSHRs          int    `json:"mshrs,omitempty"`
+	WriteBuffer    int    `json:"write_buffer,omitempty"` // -1 disables it
+	Prefetch       string `json:"prefetch,omitempty"`     // none (default), stride, stream
+	PrefetchDegree int    `json:"prefetch_degree,omitempty"`
 }
 
 // config resolves the wire block to a validated-shape MemConfig: stock

@@ -157,8 +157,8 @@ func RandomShape(seed int64) Config {
 	r := newRNG(uint64(seed) * 0x9E3779B97F4A7C15)
 	r.next() // decorrelate from Derive's first draws
 	return Config{
-		Segments:  4 + r.intn(9),         // 4..12
-		MaxDepth:  1 + r.intn(3),         // 1..3
+		Segments:  4 + r.intn(9), // 4..12
+		MaxDepth:  1 + r.intn(3), // 1..3
 		Regs:      []int{4, 6, 8, 12}[r.intn(4)],
 		WithCalls: r.intn(4) == 0,
 	}
