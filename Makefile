@@ -13,7 +13,7 @@ COVER_FLOOR_DYNSCHED ?= 85
 COVER_FLOOR_WORKLOADS ?= 75
 COVER_FLOOR_MEMHIER ?= 90
 
-.PHONY: all test test-short test-race bench bench-json bench-simcore bench-simcore-check bench-compile bench-compile-check bench-artifact bench-memhier bench-memhier-check experiments fuzz fuzz-quick fuzz-smoke cover vet clean
+.PHONY: all test test-short test-race bench bench-json bench-simcore bench-simcore-check bench-compile bench-compile-check bench-artifact bench-memhier bench-memhier-check experiments fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
 
 all: vet test test-race fuzz-quick
 
@@ -35,10 +35,11 @@ bench-json:
 	BOOSTD_BENCH_JSON=$(CURDIR)/BENCH_service.json $(GO) test -run TestWriteBenchJSON -count=1 ./internal/service/
 	@echo "wrote BENCH_service.json"
 
-# bench-simcore measures both simulator engines on the long kernels and
-# rewrites the committed BENCH_simcore.json baseline. It fails if the fast
-# core has lost its headline properties (>=3x over legacy, allocation-free
-# steady state), so a regressed baseline cannot be committed.
+# bench-simcore measures the fast core and its test oracle (sim.ExecOracle,
+# the "legacy" row) on the long kernels and rewrites the committed
+# BENCH_simcore.json baseline. It fails if the fast core has lost its
+# headline properties (>=3x over legacy, allocation-free steady state), so
+# a regressed baseline cannot be committed.
 bench-simcore:
 	SIMCORE_BENCH_JSON=$(CURDIR)/BENCH_simcore.json $(GO) test -run TestWriteSimcoreBenchJSON -count=1 ./internal/sim/
 	@echo "wrote BENCH_simcore.json"
@@ -127,6 +128,21 @@ cover:
 		if [ "$$(awk -v p=$$pct -v f=$$floor 'BEGIN{print (p+0 >= f+0) ? 1 : 0}')" != "1" ]; then \
 			echo "cover: $$pkg coverage $$pct% fell below the $$floor% floor"; exit 1; \
 		fi; \
+	done
+
+# oracle-guard builds the production commands and fails if any of them
+# links sim.ExecOracle, the interpreter kept only as the fast core's test
+# oracle. Go's linker drops functions nothing calls, so the symbol shows
+# up in `go tool nm` exactly when a production path calls the oracle.
+oracle-guard:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for cmd in boostd boostsim experiments; do \
+		$(GO) build -o "$$dir/$$cmd" ./cmd/$$cmd; \
+		$(GO) tool nm "$$dir/$$cmd" > "$$dir/$$cmd.nm"; \
+		if grep -q 'boosting/internal/sim\.ExecOracle' "$$dir/$$cmd.nm"; then \
+			echo "oracle-guard: cmd/$$cmd links boosting/internal/sim.ExecOracle"; exit 1; \
+		fi; \
+		echo "oracle-guard: cmd/$$cmd does not link sim.ExecOracle"; \
 	done
 
 vet:

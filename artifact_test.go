@@ -133,7 +133,7 @@ func artifactDigest(t *testing.T, master *prog.Program, model *machine.Model) go
 	if err != nil {
 		t.Fatalf("%s: decode: %v", model.Name, err)
 	}
-	return schedDigest(t, model.Name, sp2, sim.EngineFast)
+	return schedDigest(t, model.Name, sp2, sim.Exec)
 }
 
 // TestGoldenViaArtifact asserts that executing a schedule decoded from
@@ -148,7 +148,7 @@ func TestGoldenViaArtifact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			master := compileGolden(t, name)
 			for _, m := range goldenModels() {
-				direct := execDigest(t, master, m.model, sim.EngineFast)
+				direct := execDigest(t, master, m.model, sim.Exec)
 				via := artifactDigest(t, master, m.model)
 				if direct != via {
 					t.Errorf("%s on %s: decoded-artifact digest differs:\ndirect: %+v\nvia:    %+v",

@@ -39,8 +39,8 @@
 // Ablations are functional options (boosting.WithLocalOnly,
 // boosting.WithInfiniteRegisters, ...), and Pipeline.Grid runs a whole
 // (workload × model × options) batch concurrently with deterministic
-// result order. For one-off runs the legacy CompileAndRun wrapper still
-// works.
+// result order. Pipeline.Run is Compile followed by Simulate, for
+// one-off runs.
 package boosting
 
 import (
@@ -75,7 +75,7 @@ type SchedulerStats = core.Stats
 // SchedulerStats.Rejections.
 func RejectReasons() []string { return core.RejectReasons() }
 
-// Workload names accepted by Compile/CompileAndRun and Workloads().
+// Workload names accepted by Pipeline.Compile and returned by Workloads().
 const (
 	WorkloadAWK      = "awk"
 	WorkloadCompress = "compress"
@@ -119,10 +119,6 @@ func Models() ModelSet {
 
 // Result reports a compiled-and-simulated run.
 type Result struct {
-	// Engine names the simulator core that produced this run ("fast" or
-	// "legacy"); the engines are verified byte-identical, so it only
-	// records which core did the work.
-	Engine string
 	// Compile is the per-pass report of this run's schedule (the
 	// memoized artifact build reports separately via
 	// Compiled.CompileStats).
@@ -161,22 +157,6 @@ type Result struct {
 	Out []uint32
 }
 
-// CompileAndRun builds the named workload, profiles it on its training
-// input, register-allocates (unless InfiniteRegisters), schedules it for
-// the model, simulates the test input, verifies the run against the
-// reference interpreter, and reports cycle counts and speedup over the
-// scalar R2000 baseline.
-//
-// Deprecated: CompileAndRun rebuilds everything on every call and
-// cannot be cancelled. Use Pipeline, which stages Compile/Simulate,
-// memoizes shared artifacts and threads a context.Context:
-//
-//	p := NewPipeline()
-//	res, err := p.Run(ctx, workload, model, WithLocalOnly())
-func CompileAndRun(workload string, model *machine.Model, opts Options) (*Result, error) {
-	return NewPipeline().Run(context.Background(), workload, model, opts.asOpts()...)
-}
-
 // DynamicResult reports a run on the dynamically-scheduled machine.
 type DynamicResult struct {
 	Cycles       int64
@@ -188,22 +168,6 @@ type DynamicResult struct {
 	MemStalls int64
 	Mem       *MemStats
 	Out       []uint32
-}
-
-// RunDynamic simulates the workload on the paper's dynamically-scheduled
-// superscalar (30 reservation stations, 16-entry reorder buffer, 2048×4
-// BTB), with or without register renaming.
-//
-// Deprecated: use Pipeline.Compile followed by Pipeline.SimulateDynamic,
-// which reuse the compiled artifact and accept a context.Context.
-func RunDynamic(workload string, renaming bool) (*DynamicResult, error) {
-	ctx := context.Background()
-	p := NewPipeline()
-	c, err := p.Compile(ctx, workload)
-	if err != nil {
-		return nil, err
-	}
-	return p.SimulateDynamic(ctx, c, renaming)
 }
 
 // ModelByName resolves a machine-model name as used by the CLI tools:

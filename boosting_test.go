@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
+// TestCompileAndRunGrep compiles and runs grep through Pipeline.Run.
 func TestCompileAndRunGrep(t *testing.T) {
-	models := Models()
-	res, err := CompileAndRun(WorkloadGrep, models.MinBoost3, Options{})
+	res, err := NewPipeline().Run(context.Background(), WorkloadGrep, Models().MinBoost3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCompileAndRunGrep(t *testing.T) {
 }
 
 func TestCompileAndRunRejectsUnknown(t *testing.T) {
-	if _, err := CompileAndRun("nope", Models().Boost1, Options{}); err == nil {
+	if _, err := NewPipeline().Run(context.Background(), "nope", Models().Boost1); err == nil {
 		t.Fatal("unknown workload must error")
 	}
 }
@@ -41,15 +41,23 @@ func TestWorkloadsList(t *testing.T) {
 	}
 }
 
+// TestRunDynamic runs xlisp on the dynamically-scheduled machine, with and
+// without register renaming.
 func TestRunDynamic(t *testing.T) {
-	res, err := RunDynamic(WorkloadXLisp, false)
+	ctx := context.Background()
+	p := NewPipeline()
+	c, err := p.Compile(ctx, WorkloadXLisp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.SimulateDynamic(ctx, c, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles <= 0 || res.Speedup <= 0 {
 		t.Fatalf("bad result %+v", res)
 	}
-	ren, err := RunDynamic(WorkloadXLisp, true)
+	ren, err := p.SimulateDynamic(ctx, c, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +67,14 @@ func TestRunDynamic(t *testing.T) {
 }
 
 func TestInfiniteRegistersAtLeastAsFast(t *testing.T) {
+	ctx := context.Background()
+	p := NewPipeline()
 	m := Models().Boost1
-	alloc, err := CompileAndRun(WorkloadAWK, m, Options{})
+	alloc, err := p.Run(ctx, WorkloadAWK, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inf, err := CompileAndRun(WorkloadAWK, m, Options{InfiniteRegisters: true})
+	inf, err := p.Run(ctx, WorkloadAWK, m, WithInfiniteRegisters())
 	if err != nil {
 		t.Fatal(err)
 	}

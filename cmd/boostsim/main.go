@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"boosting"
-	"boosting/internal/sim"
 )
 
 func main() {
@@ -39,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	inf := fs.Bool("inf", false, "infinite register model (skip register allocation)")
 	dynamic := fs.Bool("dynamic", false, "simulate the dynamically-scheduled machine instead")
 	rename := fs.Bool("rename", false, "enable register renaming (dynamic machine only)")
-	engineName := fs.String("engine", "fast", `simulator engine: "fast" (pre-decoded core) or "legacy"`)
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -53,12 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "boostsim: -rename applies to the dynamic machine only (add -dynamic)")
 		return 2
 	}
-	engine, err := sim.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(stderr, "boostsim:", err)
-		return 2
-	}
-
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "boostsim:", err)
 		return 1
@@ -78,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *inf {
 		opts = append(opts, boosting.WithInfiniteRegisters())
 	}
-	opts = append(opts, boosting.WithEngine(engine))
 	p := boosting.NewPipeline(opts...)
 
 	if *dynamic {
@@ -113,7 +104,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "workload     %s\n", *workload)
 	fmt.Fprintf(stdout, "machine      %s (local=%v, infinite-regs=%v)\n", m, *local, *inf)
-	fmt.Fprintf(stdout, "engine       %s\n", res.Engine)
 	fmt.Fprintf(stdout, "cycles       %d\n", res.Cycles)
 	fmt.Fprintf(stdout, "scalar       %d\n", res.ScalarCycles)
 	fmt.Fprintf(stdout, "speedup      %.2fx\n", res.Speedup)

@@ -16,6 +16,7 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown flag", []string{"-bogus"}},
 		{"stray argument", []string{"grep"}},
 		{"rename without dynamic", []string{"-rename"}},
+		{"removed engine flag", []string{"-engine", "fast"}},
 	}
 	for _, tc := range cases {
 		var out, errw bytes.Buffer

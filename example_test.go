@@ -34,11 +34,12 @@ func ExamplePipeline() {
 }
 
 // Compile one of the benchmark workloads for the paper's minimal boosting
-// machine and inspect the outcome. Every run is verified against a
-// reference interpreter before results are returned.
-func ExampleCompileAndRun() {
-	res, err := boosting.CompileAndRun(boosting.WorkloadGrep,
-		boosting.Models().MinBoost3, boosting.Options{})
+// machine and inspect the outcome. Run is Compile followed by Simulate,
+// and every run is verified against a reference interpreter before
+// results are returned.
+func ExamplePipeline_Run() {
+	res, err := boosting.NewPipeline().Run(context.Background(),
+		boosting.WorkloadGrep, boosting.Models().MinBoost3)
 	if err != nil {
 		panic(err)
 	}
@@ -52,14 +53,19 @@ func ExampleCompileAndRun() {
 }
 
 // Compare a statically-scheduled boosting machine against the paper's
-// dynamically-scheduled machine on the same workload.
-func ExampleRunDynamic() {
-	static, err := boosting.CompileAndRun(boosting.WorkloadXLisp,
-		boosting.Models().MinBoost3, boosting.Options{})
+// dynamically-scheduled machine on the same compiled workload.
+func ExamplePipeline_SimulateDynamic() {
+	ctx := context.Background()
+	p := boosting.NewPipeline()
+	c, err := p.Compile(ctx, boosting.WorkloadXLisp)
 	if err != nil {
 		panic(err)
 	}
-	dynamic, err := boosting.RunDynamic(boosting.WorkloadXLisp, false)
+	static, err := p.Simulate(ctx, c, boosting.Models().MinBoost3)
+	if err != nil {
+		panic(err)
+	}
+	dynamic, err := p.SimulateDynamic(ctx, c, false)
 	if err != nil {
 		panic(err)
 	}

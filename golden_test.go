@@ -1,9 +1,10 @@
 // Golden-trace equivalence suite: every machine model's full execution
 // digest — cycle counts, speculation counters, squash events, and the
 // committed store stream — is pinned against checked-in golden files under
-// testdata/golden/, and the fast pre-decoded core is asserted identical to
-// the legacy interpreter on every digest before either is compared to the
-// golden copy. Regenerate after an intentional behavior change with
+// testdata/golden/, and the fast pre-decoded core (sim.Exec) is asserted
+// identical to the oracle interpreter (sim.ExecOracle) on every digest
+// before either is compared to the golden copy. Regenerate after an
+// intentional behavior change with
 //
 //	go test -run TestGoldenTraces -update .
 //
@@ -127,15 +128,18 @@ func hashUint32s(vals []uint32) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// execDigest schedules the program for the model and executes it on the
-// chosen engine, digesting every observable stream.
-func execDigest(t *testing.T, master *prog.Program, model *machine.Model, engine sim.Engine) goldenDigest {
+// executor runs a schedule: sim.Exec (the fast core) or sim.ExecOracle.
+type executor func(*machine.SchedProgram, sim.ExecConfig) (*sim.ExecResult, error)
+
+// execDigest schedules the program for the model and executes it on
+// exec, digesting every observable stream.
+func execDigest(t *testing.T, master *prog.Program, model *machine.Model, exec executor) goldenDigest {
 	t.Helper()
 	sp, err := core.Schedule(prog.Clone(master), model, core.Options{LocalOnly: model.IssueWidth == 1})
 	if err != nil {
 		t.Fatalf("%s: schedule: %v", model.Name, err)
 	}
-	return schedDigest(t, model.Name, sp, engine)
+	return schedDigest(t, model.Name, sp, exec)
 }
 
 // digestTap captures one execution's store and squash streams so they
@@ -184,12 +188,12 @@ func (d *digestTap) digest(res *sim.ExecResult) goldenDigest {
 // schedDigest executes an already-scheduled program and digests every
 // observable stream (also used by the artifact round-trip suite, which
 // feeds it schedules decoded from their binary encoding).
-func schedDigest(t *testing.T, label string, sp *machine.SchedProgram, engine sim.Engine) goldenDigest {
+func schedDigest(t *testing.T, label string, sp *machine.SchedProgram, exec executor) goldenDigest {
 	t.Helper()
 	tap := newDigestTap()
-	res, err := sim.Exec(sp, tap.wrap(sim.ExecConfig{Engine: engine}))
+	res, err := exec(sp, tap.wrap(sim.ExecConfig{}))
 	if err != nil {
-		t.Fatalf("%s on %s engine: %v", label, engine, err)
+		t.Fatalf("%s: %v", label, err)
 	}
 	return tap.digest(res)
 }
@@ -214,7 +218,7 @@ func dynDigest(t *testing.T, master *prog.Program, renaming bool) dynamicDigest 
 }
 
 // TestGoldenTraces pins every model's execution digest against the golden
-// files, with the two simulator engines first proven identical on every
+// files, with the fast core and the oracle first proven identical on every
 // digest. -update rewrites the files from the current implementation.
 func TestGoldenTraces(t *testing.T) {
 	names := []string{"grep", "eqntott"}
@@ -230,10 +234,10 @@ func TestGoldenTraces(t *testing.T) {
 				Dynamic:  map[string]dynamicDigest{},
 			}
 			for _, m := range goldenModels() {
-				fast := execDigest(t, master, m.model, sim.EngineFast)
-				legacy := execDigest(t, master, m.model, sim.EngineLegacy)
+				fast := execDigest(t, master, m.model, sim.Exec)
+				legacy := execDigest(t, master, m.model, sim.ExecOracle)
 				if fast != legacy {
-					t.Errorf("%s on %s: engines disagree:\nfast:   %+v\nlegacy: %+v", name, m.name, fast, legacy)
+					t.Errorf("%s on %s: fast core and oracle disagree:\nfast:   %+v\nlegacy: %+v", name, m.name, fast, legacy)
 				}
 				got.Models[m.name] = fast
 			}
@@ -293,15 +297,17 @@ func TestGoldenTraces(t *testing.T) {
 // exactly the digest a solo Exec of the same configuration produces —
 // and the solo digests are themselves pinned by TestGoldenTraces, so
 // the batch path is chained to the same golden files. Lanes mix
-// perfect memory, a finite hierarchy, the legacy engine, and a
-// duplicate lane, so the lockstep loop interleaves lanes in genuinely
-// different states.
+// perfect memory, a small blocking cache, the default two-level
+// hierarchy with a stride prefetcher, and a duplicate lane, so the
+// lockstep loop interleaves lanes in genuinely different states.
 func TestGoldenBatchLanes(t *testing.T) {
 	names := []string{"grep", "eqntott"}
 	if testing.Short() {
 		names = names[:1]
 	}
 	tiny := memhier.SingleLevel(64, 1, 16, 20)
+	stride := memhier.Default()
+	stride.Prefetch = "stride"
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
 			master := compileGolden(t, name)
@@ -313,7 +319,7 @@ func TestGoldenBatchLanes(t *testing.T) {
 				laneCfgs := []sim.ExecConfig{
 					{},
 					{Mem: &tiny},
-					{Engine: sim.EngineLegacy},
+					{Mem: &stride},
 					{},
 				}
 				taps := make([]*digestTap, len(laneCfgs))

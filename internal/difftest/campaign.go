@@ -80,12 +80,9 @@ type Finding struct {
 	Divergences []Divergence `json:"divergences"`
 	// MinimizedDivergences are the oracle failures of the shrunk recipe —
 	// shrinking only preserves "some divergence exists", so the failing
-	// configurations (and simulator engines) can differ from the
-	// original's. The corpus entry records these, not the original's.
+	// configurations can differ from the original's. The corpus entry
+	// records these, not the original's.
 	MinimizedDivergences []Divergence `json:"minimizedDivergences,omitempty"`
-	// Engines lists the distinct simulator engines ("fast", "legacy")
-	// implicated by the minimized reproducer's divergences.
-	Engines []string `json:"engines,omitempty"`
 	// Recipe and Minimized are the encoded original and shrunk recipes.
 	Recipe    string `json:"recipe"`
 	Minimized string `json:"minimized"`
@@ -210,9 +207,9 @@ func shrinkFinding(ctx context.Context, seed int64, shape testgen.Config, rec te
 
 	// Re-run the oracle on the minimized recipe: shrinking only preserves
 	// "some divergence exists", so the reproducer must be re-attributed —
-	// the failing configurations and engines may have shifted during
-	// minimization. Fall back to the original attribution if the re-check
-	// cannot run (cancelled context).
+	// the failing configurations may have shifted during minimization.
+	// Fall back to the original attribution if the re-check cannot run
+	// (cancelled context).
 	minDivs := divs
 	if ctx.Err() == nil {
 		if d, err := CheckRecipe(res.Recipe, checkOpt); err == nil && len(d) > 0 {
@@ -229,8 +226,7 @@ func shrinkFinding(ctx context.Context, seed int64, shape testgen.Config, rec te
 		return Finding{}, err
 	}
 	f := Finding{
-		Seed: seed, Shape: shape, Divergences: divs,
-		MinimizedDivergences: minDivs, Engines: engineNames(minDivs),
+		Seed: seed, Shape: shape, Divergences: divs, MinimizedDivergences: minDivs,
 		Recipe: orig, Minimized: min,
 		Segments: res.Segments, ShrinkAttempts: res.Attempts,
 	}
@@ -263,20 +259,6 @@ func configNames(divs []Divergence) []string {
 		if !seen[d.Config] {
 			seen[d.Config] = true
 			names = append(names, d.Config)
-		}
-	}
-	return names
-}
-
-// engineNames collects the distinct simulator engines implicated by a
-// divergence set, preserving first-seen order.
-func engineNames(divs []Divergence) []string {
-	var names []string
-	seen := map[string]bool{}
-	for _, d := range divs {
-		if d.Engine != "" && !seen[d.Engine] {
-			seen[d.Engine] = true
-			names = append(names, d.Engine)
 		}
 	}
 	return names

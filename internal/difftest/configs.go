@@ -20,7 +20,6 @@ import (
 	"boosting/internal/core"
 	"boosting/internal/machine"
 	"boosting/internal/memhier"
-	"boosting/internal/sim"
 )
 
 // Config identifies one compiled configuration under test.
@@ -34,11 +33,10 @@ type Config struct {
 	Opts core.Options
 	// Ablation names the ablation bundle for reporting ("" = baseline).
 	Ablation string
-	// Engine selects the machine-simulator core (static configurations
-	// only). The zero value is the fast pre-decoded core; EngineLegacy
-	// re-runs the configuration on the original interpreter, making
-	// fast-vs-legacy equivalence part of the oracle's matrix.
-	Engine sim.Engine
+	// Legacy runs the configuration on sim.ExecOracle, the original
+	// interpreter, instead of the fast core (static configurations only),
+	// making fast-vs-legacy equivalence part of the oracle's matrix.
+	Legacy bool
 	// ViaArtifact round-trips the schedule through the binary artifact
 	// codec before execution (static configurations only), making
 	// serialize-then-simulate equivalence part of the oracle's matrix.
@@ -54,17 +52,17 @@ type Config struct {
 	Mem     *memhier.Config
 	MemName string
 	// Batch runs the configuration as one lane of a lockstep ExecBatch
-	// (static configurations only), flanked by companion lanes on other
-	// engines and hierarchies, and additionally asserts the lane is
+	// (static fast-core configurations only), flanked by companion lanes
+	// on other hierarchies, and additionally asserts the lane is
 	// byte-identical to a sequential Exec of the same configuration
 	// ("batch-lane" divergences).
 	Batch bool
 }
 
 // Name renders a stable, human-readable configuration identifier used in
-// divergence reports and corpus headers. The default (fast) engine is
-// unnamed so existing corpus entries keep their identifiers; legacy-engine
-// configurations gain a "/legacy" suffix.
+// divergence reports and corpus headers. The fast core is unnamed so
+// existing corpus entries keep their identifiers; configurations run on
+// the oracle interpreter gain a "/legacy" suffix.
 func (c Config) Name() string {
 	if c.Dynamic {
 		name := "dynamic"
@@ -84,7 +82,7 @@ func (c Config) Name() string {
 	if c.Ablation != "" {
 		name += "/" + c.Ablation
 	}
-	if c.Engine == sim.EngineLegacy {
+	if c.Legacy {
 		name += "/legacy"
 	}
 	if c.ViaArtifact {
@@ -176,17 +174,17 @@ func Configs(full bool) []Config {
 			out = append(out, Config{Model: m, Alloc: alloc})
 		}
 	}
-	// The fast/legacy engine axis: every static configuration must behave
-	// identically on both simulator cores. The quick set re-runs the
-	// allocated regime on the legacy interpreter; the full matrix covers
-	// both register regimes.
+	// The fast/legacy axis: every static configuration must behave
+	// identically on the fast core and on the oracle interpreter. The
+	// quick set re-runs the allocated regime on the oracle; the full
+	// matrix covers both register regimes.
 	for _, m := range append([]*machine.Model{machine.Scalar()}, models...) {
 		regimes := []bool{true}
 		if full {
 			regimes = []bool{false, true}
 		}
 		for _, alloc := range regimes {
-			c := Config{Model: m, Alloc: alloc, Engine: sim.EngineLegacy}
+			c := Config{Model: m, Alloc: alloc, Legacy: true}
 			if m.IssueWidth == 1 {
 				c.Opts = core.Options{LocalOnly: true}
 				c.Ablation = "local-only"
@@ -224,21 +222,22 @@ func Configs(full bool) []Config {
 	// The memory-hierarchy axis: a finite hierarchy is timing-only, so
 	// every observable must still match the perfect-memory reference.
 	// The quick set runs the deepest-speculation model under every
-	// hierarchy on both engines (plus the dynamic machine under one);
-	// the full matrix crosses every boosting model with every hierarchy.
+	// hierarchy on the fast core and the oracle (plus the dynamic machine
+	// under one); the full matrix crosses every boosting model with every
+	// hierarchy.
 	for _, mh := range memHierarchies() {
 		mem := mh.cfg
 		if full {
 			for _, m := range models {
-				for _, engine := range []sim.Engine{sim.EngineFast, sim.EngineLegacy} {
-					out = append(out, Config{Model: m, Alloc: true, Engine: engine,
+				for _, legacy := range []bool{false, true} {
+					out = append(out, Config{Model: m, Alloc: true, Legacy: legacy,
 						Mem: &mem, MemName: mh.name})
 				}
 			}
 		} else {
 			out = append(out,
 				Config{Model: machine.Boost7(), Alloc: true, Mem: &mem, MemName: mh.name},
-				Config{Model: machine.Boost7(), Alloc: true, Engine: sim.EngineLegacy,
+				Config{Model: machine.Boost7(), Alloc: true, Legacy: true,
 					Mem: &mem, MemName: mh.name},
 			)
 		}
@@ -246,8 +245,7 @@ func Configs(full bool) []Config {
 	// The batch axis: an ExecBatch lane must behave exactly like a solo
 	// Exec run. The quick set batches the two headline models (one under
 	// a finite hierarchy); the full matrix crosses every boosting model
-	// and register regime with every hierarchy, plus a legacy-engine lane
-	// exercising the mixed-engine partition.
+	// and register regime with every hierarchy.
 	batchMem := memHierarchies()[0]
 	if full {
 		for _, m := range models {
@@ -260,8 +258,6 @@ func Configs(full bool) []Config {
 					Mem: &mem, MemName: mh.name})
 			}
 		}
-		out = append(out, Config{Model: machine.Boost7(), Alloc: true,
-			Engine: sim.EngineLegacy, Batch: true})
 	} else {
 		mem := batchMem.cfg
 		out = append(out,

@@ -67,10 +67,6 @@ type Divergence struct {
 	Kind string `json:"kind"`
 	// Detail is a human-readable description of the mismatch.
 	Detail string `json:"detail"`
-	// Engine names the simulator core of the failing configuration
-	// ("fast" or "legacy"; empty for non-simulator configs such as the
-	// dynamic machine or regalloc itself).
-	Engine string `json:"engine,omitempty"`
 }
 
 func (d Divergence) String() string {
@@ -180,17 +176,12 @@ func runReference(pr *prog.Program, maxSteps int64) (*reference, error) {
 }
 
 // checkConfig compiles and runs one configuration and compares every
-// observable against the reference, tagging static-machine divergences
-// with the simulator engine that produced them.
+// observable against the reference.
 func checkConfig(build func() *prog.Program, cfg Config, ref *reference, opt Options) []Divergence {
 	if cfg.Dynamic {
 		return checkDynamic(build, cfg, ref)
 	}
-	divs := checkStatic(build, cfg, ref, opt)
-	for i := range divs {
-		divs[i].Engine = cfg.Engine.String()
-	}
-	return divs
+	return checkStatic(build, cfg, ref, opt)
 }
 
 func checkStatic(build func() *prog.Program, cfg Config, ref *reference, opt Options) []Divergence {
@@ -224,7 +215,6 @@ func checkStatic(build func() *prog.Program, cfg Config, ref *reference, opt Opt
 	var stores []storeEvent
 	leaks := 0
 	ecfg := sim.ExecConfig{
-		Engine: cfg.Engine,
 		Inject: opt.Inject,
 		Mem:    cfg.Mem,
 		OnStore: func(addr uint32, size int, val uint32) {
@@ -242,11 +232,14 @@ func checkStatic(build func() *prog.Program, cfg Config, ref *reference, opt Opt
 		},
 	}
 	var res *sim.ExecResult
-	if cfg.Batch {
+	switch {
+	case cfg.Legacy:
+		res, err = sim.ExecOracle(sp, ecfg)
+	case cfg.Batch:
 		var batchDivs []Divergence
 		res, err, batchDivs = execBatched(sp, ecfg, name)
 		divs = append(divs, batchDivs...)
-	} else {
+	default:
 		res, err = sim.Exec(sp, ecfg)
 	}
 	if err != nil {
@@ -266,12 +259,12 @@ func execBatched(sp *machine.SchedProgram, ecfg sim.ExecConfig, name string) (*s
 	tiny := memhier.SingleLevel(4, 1, 8, 20)
 	batch := []sim.ExecConfig{
 		ecfg,
-		{Engine: ecfg.Engine, Inject: ecfg.Inject},
-		{Engine: ecfg.Engine, Inject: ecfg.Inject, Mem: &tiny},
+		{Inject: ecfg.Inject},
+		{Inject: ecfg.Inject, Mem: &tiny},
 	}
 	results, errs := sim.ExecBatch(sp, batch)
 	res, err := results[0], errs[0]
-	solo, soloErr := sim.Exec(sp, sim.ExecConfig{Engine: ecfg.Engine, Inject: ecfg.Inject, Mem: ecfg.Mem})
+	solo, soloErr := sim.Exec(sp, sim.ExecConfig{Inject: ecfg.Inject, Mem: ecfg.Mem})
 
 	var divs []Divergence
 	switch {

@@ -37,12 +37,13 @@ func FuzzOracle(f *testing.F) {
 }
 
 // FuzzFastCore is the engine-differential fuzz target: every seed derives
-// a random program, and the fast pre-decoded core must be byte-identical
-// to the legacy interpreter — the whole ExecResult plus the committed
-// store stream — on every static machine model. Unlike FuzzOracle, which
-// compares each engine against the sequential reference, this target
-// compares the engines against each other, so purely microarchitectural
-// counters (cycles, stalls, squashes) are covered too.
+// a random program, and the fast pre-decoded core (sim.Exec) must be
+// byte-identical to the oracle interpreter (sim.ExecOracle) — the whole
+// ExecResult plus the committed store stream — on every static machine
+// model. Unlike FuzzOracle, which compares each configuration against the
+// sequential reference, this target compares the two executors against
+// each other, so purely microarchitectural counters (cycles, stalls,
+// squashes) are covered too.
 func FuzzFastCore(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(42))
@@ -73,9 +74,9 @@ func FuzzFastCore(f *testing.F) {
 				err    string
 				stores []storeEvent
 			}
-			exec := func(e sim.Engine) run {
+			exec := func(execute func(*machine.SchedProgram, sim.ExecConfig) (*sim.ExecResult, error)) run {
 				var r run
-				res, err := sim.Exec(sp, sim.ExecConfig{Engine: e, OnStore: func(addr uint32, size int, val uint32) {
+				res, err := execute(sp, sim.ExecConfig{OnStore: func(addr uint32, size int, val uint32) {
 					r.stores = append(r.stores, storeEvent{addr, size, val})
 				}})
 				r.res = res
@@ -84,7 +85,7 @@ func FuzzFastCore(f *testing.F) {
 				}
 				return r
 			}
-			fast, legacy := exec(sim.EngineFast), exec(sim.EngineLegacy)
+			fast, legacy := exec(sim.Exec), exec(sim.ExecOracle)
 			if fast.err != legacy.err {
 				t.Fatalf("seed %d on %s: error mismatch: fast=%q legacy=%q", seed, m.Name, fast.err, legacy.err)
 			}

@@ -44,9 +44,9 @@ func TestMemConfigsInMatrix(t *testing.T) {
 }
 
 // TestMemAxisArchitecturallyClean runs a batch of generated programs
-// through the full matrix — including every /mem/ configuration on both
-// engines — and requires zero divergences: the hierarchy must be purely
-// a timing model.
+// through the full matrix — including every /mem/ configuration on the
+// fast core and the oracle — and requires zero divergences: the hierarchy
+// must be purely a timing model.
 func TestMemAxisArchitecturallyClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix oracle pass in -short mode")

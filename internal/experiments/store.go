@@ -39,12 +39,6 @@ import (
 // input, so every schedule runs on a prog.Clone of the master (verified
 // to produce bit-identical schedules to a fresh build).
 type Store struct {
-	// Engine selects the machine-simulator core for every measurement
-	// (default sim.EngineFast). The engines are verified byte-identical,
-	// so it is deliberately absent from the memo keys: a store configured
-	// for one engine produces the same numbers as the other.
-	Engine sim.Engine
-
 	pairs  *cache.Memo[*prog.Program]
 	refs   *cache.Memo[*sim.Result]
 	acc    *cache.Memo[float64]
@@ -191,7 +185,7 @@ func (st *Store) scheduleAndExec(ctx context.Context, w *workloads.Workload, mod
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg := sim.ExecConfig{Engine: st.Engine, Mem: mem}
+	cfg := sim.ExecConfig{Mem: mem}
 	start = time.Now()
 	res, err := sim.Exec(sp, cfg)
 	if err != nil {
@@ -279,7 +273,7 @@ func (st *Store) measureMemBatch(ctx context.Context, w *workloads.Workload, mod
 		}
 		cfgs := make([]sim.ExecConfig, len(mcfgs))
 		for i := range mcfgs {
-			cfgs[i] = sim.ExecConfig{Engine: st.Engine, Mem: &mcfgs[i]}
+			cfgs[i] = sim.ExecConfig{Mem: &mcfgs[i]}
 		}
 		start := time.Now()
 		results, errs := sim.ExecBatch(sp, cfgs)
@@ -416,7 +410,7 @@ func (st *Store) unrolled(ctx context.Context, w *workloads.Workload) (int64, er
 		}
 		st.metrics.recordSchedule(time.Since(start), cst)
 		start = time.Now()
-		res, err := sim.Exec(sp, sim.ExecConfig{Engine: st.Engine})
+		res, err := sim.Exec(sp, sim.ExecConfig{})
 		if err != nil {
 			return 0, err
 		}

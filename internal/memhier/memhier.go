@@ -16,7 +16,8 @@
 // invariant the golden-trace suite and the difftest mem axis enforce.
 // Every component is deterministic (PolicyRandom uses a fixed-seed
 // xorshift), so the same access sequence always produces the same stall
-// sequence, which keeps the two simulator engines cycle-identical.
+// sequence, which keeps the fast core and its oracle interpreter
+// cycle-identical.
 //
 // Timing semantics, in the order Access applies them:
 //

@@ -3,7 +3,9 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -201,25 +203,50 @@ func TestSchemaVersionOnEveryResponse(t *testing.T) {
 	}
 }
 
-// TestEngineEnumValidation: options.engine is a typed enum — unknown
-// names are rejected at decode time with a 400 naming the valid values.
-func TestEngineEnumValidation(t *testing.T) {
+// TestEncodingFailureCarriesSchemaVersion: when json.Marshal rejects a
+// value, writeJSON answers 500 with a fallback body that still carries
+// the current schema version, like every other body.
+func TestEncodingFailureCarriesSchemaVersion(t *testing.T) {
+	rec := httptest.NewRecorder()
+	if code := writeJSON(rec, http.StatusOK, math.Inf(1)); code != http.StatusInternalServerError {
+		t.Errorf("writeJSON returned %d, want 500", code)
+	}
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	var v struct {
+		SchemaVersion int    `json:"schema_version"`
+		Error         string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatalf("fallback body is not JSON: %v: %s", err, rec.Body.Bytes())
+	}
+	if v.SchemaVersion != SchemaVersion || v.Error == "" {
+		t.Errorf("fallback body = %+v, want schema_version %d and an error", v, SchemaVersion)
+	}
+}
+
+// TestEngineOptionRejected: schema version 3 removed the simulator-engine
+// selector, so options.engine — whatever its value — gets the same 400
+// as any unknown field, and a successful response carries no engine.
+func TestEngineOptionRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	body := fmt.Sprintf(`{"asm":%q,"model":"MinBoost3","options":{"engine":"turbo"}}`, testAsm(90004))
-	resp, b := post(t, ts, "/v1/simulate", body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bogus engine = %d, want 400: %s", resp.StatusCode, b)
-	}
-	for _, want := range []string{"not a valid engine", `\"fast\"`, `\"legacy\"`} {
-		if !strings.Contains(string(b), want) {
-			t.Errorf("error body missing %q: %s", want, b)
-		}
-	}
-	// The valid names still work.
 	for _, engine := range []string{"fast", "legacy"} {
-		body := fmt.Sprintf(`{"asm":%q,"model":"MinBoost3","options":{"engine":%q}}`, testAsm(90005), engine)
-		if resp, b := post(t, ts, "/v1/simulate", body); resp.StatusCode != http.StatusOK {
-			t.Errorf("engine %q = %d: %s", engine, resp.StatusCode, b)
+		body := fmt.Sprintf(`{"asm":%q,"model":"MinBoost3","options":{"engine":%q}}`, testAsm(90004), engine)
+		resp, b := post(t, ts, "/v1/simulate", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("engine %q = %d, want 400: %s", engine, resp.StatusCode, b)
 		}
+		if !strings.Contains(string(b), `unknown field \"engine\"`) {
+			t.Errorf("engine %q: error body does not name the unknown field: %s", engine, b)
+		}
+	}
+	body := fmt.Sprintf(`{"asm":%q,"model":"MinBoost3"}`, testAsm(90005))
+	resp, b := post(t, ts, "/v1/simulate", body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate = %d: %s", resp.StatusCode, b)
+	}
+	if strings.Contains(string(b), `"engine"`) {
+		t.Errorf("response carries engine: %s", b)
 	}
 }

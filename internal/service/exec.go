@@ -147,13 +147,11 @@ func (s *Server) simulateWorkload(ctx context.Context, req SimulateRequest) (int
 	if err != nil {
 		return domainStatus(err)
 	}
-	s.metrics.recordEngine(res.Engine)
 	s.metrics.recordMem(res.Mem)
 	return http.StatusOK, SimulateResponse{
 		SchemaVersion:      SchemaVersion,
 		Workload:           req.Workload,
 		Machine:            model.Name,
-		Engine:             res.Engine,
 		Cycles:             res.Cycles,
 		ScalarCycles:       res.ScalarCycles,
 		Speedup:            res.Speedup,
@@ -183,13 +181,12 @@ func (s *Server) simulateAsm(ctx context.Context, req SimulateRequest) (int, any
 		return 0, nil
 	}
 
-	engine := req.Options.engine()
 	var mem *memhier.Config
 	if req.Mem != nil {
 		cfg := req.Mem.config()
 		mem = &cfg
 	}
-	scalar, eresp := s.asmScalarBaseline(pr, ref, engine, mem)
+	scalar, eresp := s.asmScalarBaseline(pr, ref, mem)
 	if eresp != nil {
 		return http.StatusUnprocessableEntity, eresp
 	}
@@ -229,19 +226,17 @@ func (s *Server) simulateAsm(ctx context.Context, req SimulateRequest) (int, any
 	if err := ctx.Err(); err != nil {
 		return 0, nil
 	}
-	res, err := sim.Exec(sp, sim.ExecConfig{Engine: engine, MaxCycles: s.execCycleCap(), Mem: mem})
+	res, err := sim.Exec(sp, sim.ExecConfig{MaxCycles: s.execCycleCap(), Mem: mem})
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("simulation: %v", err)}
 	}
 	if err := verifyAgainst(ref, res.Out, res.MemHash); err != nil {
 		return http.StatusInternalServerError, errorResponse{err.Error()}
 	}
-	s.metrics.recordEngine(engine.String())
 	s.metrics.recordMem(res.Mem)
 	return http.StatusOK, SimulateResponse{
 		SchemaVersion:      SchemaVersion,
 		Machine:            model.Name,
-		Engine:             engine.String(),
 		Cycles:             res.Cycles,
 		ScalarCycles:       scalar,
 		Speedup:            ratio(scalar, res.Cycles),
@@ -309,14 +304,14 @@ func selfAccuracy(pr *prog.Program) float64 {
 }
 
 // asmScalarBaseline measures the single-issue R2000 baseline for a
-// prepared assembly program on the requested simulator engine, under
-// the same memory hierarchy (if any) as the boosted run it normalizes.
-func (s *Server) asmScalarBaseline(pr *prog.Program, ref *sim.Result, engine sim.Engine, mem *memhier.Config) (int64, *errorResponse) {
+// prepared assembly program, under the same memory hierarchy (if any) as
+// the boosted run it normalizes.
+func (s *Server) asmScalarBaseline(pr *prog.Program, ref *sim.Result, mem *memhier.Config) (int64, *errorResponse) {
 	sp, err := core.Schedule(prog.Clone(pr), machine.Scalar(), core.Options{LocalOnly: true})
 	if err != nil {
 		return 0, &errorResponse{fmt.Sprintf("scalar baseline schedule: %v", err)}
 	}
-	res, err := sim.Exec(sp, sim.ExecConfig{Engine: engine, MaxCycles: s.execCycleCap(), Mem: mem})
+	res, err := sim.Exec(sp, sim.ExecConfig{MaxCycles: s.execCycleCap(), Mem: mem})
 	if err != nil {
 		return 0, &errorResponse{fmt.Sprintf("scalar baseline: %v", err)}
 	}

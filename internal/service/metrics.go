@@ -11,7 +11,6 @@ import (
 	"boosting"
 	"boosting/internal/artifact"
 	"boosting/internal/memhier"
-	"boosting/internal/sim"
 )
 
 // compilePassNames lists every pass the /v1/compile endpoint runs, in
@@ -95,12 +94,6 @@ type metricsRegistry struct {
 	endpoints map[string]*endpointMetrics
 	panics    atomic.Int64
 
-	// engines counts machine-simulator executions by engine name. Keys
-	// are pre-seeded with every known engine so the exposition always
-	// lists both counters, even at zero.
-	engineMu sync.Mutex
-	engines  map[string]int64
-
 	// compilePasses accumulates per-pass compile seconds from /v1/compile
 	// requests, pre-seeded with every known pass name. Cached responses do
 	// not re-record: the metric counts compiles that actually ran.
@@ -125,16 +118,12 @@ func newMetricsRegistry(endpoints []string) *metricsRegistry {
 	m := &metricsRegistry{
 		order:         append([]string(nil), endpoints...),
 		endpoints:     make(map[string]*endpointMetrics, len(endpoints)),
-		engines:       map[string]int64{},
 		compilePasses: map[string]passTotals{},
 		queueDepth:    func() int64 { return 0 },
 		inFlight:      func() int64 { return 0 },
 		respCache:     func() (int64, int64) { return 0, 0 },
 		pipeCache:     func() (int64, int64) { return 0, 0 },
 		artifactStats: func() artifact.CacheStats { return artifact.CacheStats{} },
-	}
-	for _, e := range sim.Engines() {
-		m.engines[e.String()] = 0
 	}
 	for _, p := range compilePassNames {
 		m.compilePasses[p] = passTotals{}
@@ -149,13 +138,6 @@ func newMetricsRegistry(endpoints []string) *metricsRegistry {
 }
 
 func (m *metricsRegistry) endpoint(path string) *endpointMetrics { return m.endpoints[path] }
-
-// recordEngine counts one machine-simulator execution on the named engine.
-func (m *metricsRegistry) recordEngine(name string) {
-	m.engineMu.Lock()
-	m.engines[name]++
-	m.engineMu.Unlock()
-}
 
 // recordCompilePasses folds one compile's per-pass report into the
 // cumulative boostd_compile_pass_seconds totals.
@@ -272,19 +254,6 @@ func (m *metricsRegistry) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP boostd_artifact_persisted_total Artifacts durably written to the disk store.\n")
 	fmt.Fprintf(w, "# TYPE boostd_artifact_persisted_total counter\n")
 	fmt.Fprintf(w, "boostd_artifact_persisted_total %d\n", as.Persisted)
-
-	fmt.Fprintf(w, "# HELP boostd_engine_requests_total Machine-simulator executions, by simulator engine.\n")
-	fmt.Fprintf(w, "# TYPE boostd_engine_requests_total counter\n")
-	m.engineMu.Lock()
-	engines := make([]string, 0, len(m.engines))
-	for e := range m.engines {
-		engines = append(engines, e)
-	}
-	sort.Strings(engines)
-	for _, e := range engines {
-		fmt.Fprintf(w, "boostd_engine_requests_total{engine=%q} %d\n", e, m.engines[e])
-	}
-	m.engineMu.Unlock()
 
 	fmt.Fprintf(w, "# HELP boostd_compile_pass_seconds Compile time by pass across /v1/compile requests (cached responses excluded).\n")
 	fmt.Fprintf(w, "# TYPE boostd_compile_pass_seconds summary\n")

@@ -10,7 +10,6 @@ import (
 	"boosting"
 	"boosting/internal/core"
 	"boosting/internal/memhier"
-	"boosting/internal/sim"
 )
 
 // SchemaVersion is the wire-schema version stamped on every /v1/* JSON
@@ -23,36 +22,11 @@ import (
 // scalar_cycles and speedup are measured under that hierarchy (the
 // scalar baseline suffers it too), which changes the meaning of those
 // fields relative to version 1's perfect-memory numbers.
-const SchemaVersion = 2
-
-// EngineName is the typed wire enum for the simulator engine: "fast"
-// (default, also selected by the empty string) or "legacy". It replaces
-// the earlier loose engine string: an unknown name is now rejected while
-// decoding the request body, with a 400 naming the valid values.
-type EngineName string
-
-// UnmarshalJSON validates the engine name at decode time so a typo'd
-// request fails immediately with the list of valid values.
-func (e *EngineName) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("options.engine must be a string: %w", err)
-	}
-	if _, err := sim.ParseEngine(s); err != nil {
-		return fmt.Errorf("options.engine: %q is not a valid engine (valid values: %s)",
-			s, strings.Join(engineNames(), ", "))
-	}
-	*e = EngineName(s)
-	return nil
-}
-
-func engineNames() []string {
-	var names []string
-	for _, e := range sim.Engines() {
-		names = append(names, `"`+e.String()+`"`)
-	}
-	return names
-}
+//
+// Version 3: the simulator-engine selector is gone. Requests may no
+// longer send options.engine (it is rejected like any unknown field) and
+// /v1/simulate responses no longer carry engine.
+const SchemaVersion = 3
 
 // OptionsRequest is the wire form of the pipeline's functional options.
 // Field names mirror the Option constructors in the boosting package.
@@ -65,10 +39,6 @@ type OptionsRequest struct {
 	// branches (the memory-hierarchy ablation knob).
 	NoBoostedLoads bool `json:"no_boosted_loads,omitempty"`
 	MaxTraceBlocks int  `json:"max_trace_blocks,omitempty"`
-	// Engine selects the simulator core: "fast" (default) or "legacy".
-	// The engines are verified byte-identical; the knob exists for
-	// differential testing and as an escape hatch.
-	Engine EngineName `json:"engine,omitempty"`
 }
 
 func (o OptionsRequest) opts() []boosting.Option {
@@ -91,18 +61,7 @@ func (o OptionsRequest) opts() []boosting.Option {
 	if o.MaxTraceBlocks > 0 {
 		opts = append(opts, boosting.WithMaxTraceBlocks(o.MaxTraceBlocks))
 	}
-	if e := o.engine(); e != sim.EngineFast {
-		opts = append(opts, boosting.WithEngine(e))
-	}
 	return opts
-}
-
-// engine resolves the wire name to a sim.Engine; decode and validate
-// have already rejected unknown names, so parse failures cannot reach
-// here.
-func (o OptionsRequest) engine() sim.Engine {
-	e, _ := sim.ParseEngine(string(o.Engine))
-	return e
 }
 
 func (o OptionsRequest) coreOptions() core.Options {
@@ -118,21 +77,14 @@ func (o OptionsRequest) coreOptions() core.Options {
 // key spells out every field so the response cache never conflates two
 // distinct configurations.
 func (o OptionsRequest) key() string {
-	// The engine is keyed by its normalized name, so "" and "fast" — which
-	// are the same configuration — share a cache entry.
-	return fmt.Sprintf("local=%v;inf=%v;noeq=%v;nodis=%v;nobl=%v;trace=%d;engine=%s",
+	return fmt.Sprintf("local=%v;inf=%v;noeq=%v;nodis=%v;nobl=%v;trace=%d",
 		o.LocalOnly, o.InfiniteRegisters, o.NoEquivalence, o.NoDisambiguation,
-		o.NoBoostedLoads, o.MaxTraceBlocks, o.engine())
+		o.NoBoostedLoads, o.MaxTraceBlocks)
 }
 
 func (o OptionsRequest) validate() error {
 	if o.MaxTraceBlocks < 0 {
 		return fmt.Errorf("max_trace_blocks must be >= 0, got %d", o.MaxTraceBlocks)
-	}
-	// Decode already validated the engine enum; re-check defensively for
-	// requests constructed in Go code rather than from JSON.
-	if _, err := sim.ParseEngine(string(o.Engine)); err != nil {
-		return err
 	}
 	return nil
 }
@@ -391,15 +343,11 @@ func (r SimulateRequest) cacheKey() string {
 // functions of the request, so identical requests always serialize to
 // byte-identical bodies.
 type SimulateResponse struct {
-	// SchemaVersion is the wire-schema version (currently 2).
+	// SchemaVersion is the wire-schema version (currently 3).
 	SchemaVersion int    `json:"schema_version"`
 	Workload      string `json:"workload,omitempty"`
 	Machine       string `json:"machine"`
-	// Engine names the simulator core that ran the program ("fast" or
-	// "legacy"); empty for the dynamic machine, which has its own
-	// simulator.
-	Engine string `json:"engine,omitempty"`
-	Cycles int64  `json:"cycles"`
+	Cycles        int64  `json:"cycles"`
 	// ScalarCycles is the single-issue R2000 baseline on the same
 	// program and input; Speedup is ScalarCycles/Cycles.
 	ScalarCycles int64   `json:"scalar_cycles"`

@@ -416,7 +416,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) int {
 	b, err := json.Marshal(v)
 	if err != nil {
 		status = http.StatusInternalServerError
-		b = []byte(`{"schema_version":1,"error":"encoding failure"}`)
+		b = fmt.Appendf(nil, `{"schema_version":%d,"error":"encoding failure"}`, SchemaVersion)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -618,6 +618,9 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q\n%s", want, body)
 		}
 	}
+	if strings.Contains(string(body), "boostd_engine_requests_total") {
+		t.Errorf("/metrics still exports the removed engine counter\n%s", body)
+	}
 }
 
 // waitFor polls cond until it holds or the test times out.

@@ -18,48 +18,26 @@ import (
 // pd.Exec(cfgs[i]) by construction — a property the golden batch digests
 // and the difftest "/batch" axis enforce.
 
-// ExecBatch runs one lane per config over the same scheduled program in
-// one lockstep pass. Legacy-engine lanes cannot share the predecoded
-// arrays and run solo via execLegacy — mixed-engine batches are the
-// differential-testing axis, not a fast path. results[i]/errs[i] mirror
-// what Exec(sp, cfgs[i]) would return, slot for slot.
+// ExecBatch predecodes sp once and runs one lane per config over it in
+// one lockstep pass. results[i]/errs[i] mirror what Exec(sp, cfgs[i])
+// would return, slot for slot.
 func ExecBatch(sp *machine.SchedProgram, cfgs []ExecConfig) (results []*ExecResult, errs []error) {
-	results = make([]*ExecResult, len(cfgs))
-	errs = make([]error, len(cfgs))
-	var fastCfgs []ExecConfig
-	var fastIdx []int
-	for i := range cfgs {
-		if cfgs[i].Engine == EngineLegacy {
-			results[i], errs[i] = execLegacy(sp, cfgs[i])
-		} else {
-			fastCfgs = append(fastCfgs, cfgs[i])
-			fastIdx = append(fastIdx, i)
-		}
-	}
-	if len(fastCfgs) == 0 {
-		return results, errs
-	}
 	pd, err := Predecode(sp)
 	if err != nil {
-		for _, i := range fastIdx {
+		errs = make([]error, len(cfgs))
+		for i := range errs {
 			errs[i] = err
 		}
-		return results, errs
+		return make([]*ExecResult, len(cfgs)), errs
 	}
-	fres, ferrs := pd.ExecBatch(fastCfgs)
-	for k, i := range fastIdx {
-		results[i], errs[i] = fres[k], ferrs[k]
-	}
-	return results, errs
+	return pd.ExecBatch(cfgs)
 }
 
-// ExecBatch runs one fast-core lane per config in lockstep. Lane i's
-// result and error are exactly those of pd.Exec(cfgs[i]); lanes that fail
-// (setup error, fault, cycle budget) retire early while the rest continue.
+// ExecBatch runs one lane per config in lockstep. Lane i's result and
+// error are exactly those of pd.Exec(cfgs[i]); lanes that fail (setup
+// error, fault, cycle budget) retire early while the rest continue.
 // Like Exec it is safe to call concurrently on the same Predecoded value;
-// the cfgs slice is retained until the call returns. The Engine field is
-// ignored, as it is by pd.Exec — engine dispatch happens in the
-// package-level ExecBatch.
+// the cfgs slice is retained until the call returns.
 func (pd *Predecoded) ExecBatch(cfgs []ExecConfig) (results []*ExecResult, errs []error) {
 	n := len(cfgs)
 	results = make([]*ExecResult, n)

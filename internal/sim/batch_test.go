@@ -12,8 +12,8 @@ import (
 )
 
 // TestExecBatchLaneIdentity proves every ExecBatch lane is byte-identical
-// to a solo Exec run of the same config, across models × engines × memhier
-// configs in one mixed batch. This is the in-repo half of the lane-vs-solo
+// to a solo Exec run of the same config, across models × memhier configs
+// in one mixed batch. This is the in-repo half of the lane-vs-solo
 // oracle; the difftest "/batch" config is the external half.
 func TestExecBatchLaneIdentity(t *testing.T) {
 	master := compileWorkload(t, "grep")
@@ -27,12 +27,10 @@ func TestExecBatchLaneIdentity(t *testing.T) {
 		strideMem := memhier.Default()
 		strideMem.Prefetch = "stride"
 		cfgs := []sim.ExecConfig{
-			{Engine: sim.EngineFast},
-			{Engine: sim.EngineLegacy},
-			{Engine: sim.EngineFast, Mem: &defaultMem},
-			{Engine: sim.EngineLegacy, Mem: &defaultMem},
-			{Engine: sim.EngineFast, Mem: &strideMem},
-			{Engine: sim.EngineFast, MaxCycles: 100},
+			{},
+			{Mem: &defaultMem},
+			{Mem: &strideMem},
+			{MaxCycles: 100},
 		}
 		batch, berrs := sim.ExecBatch(sp, cfgs)
 		if len(batch) != len(cfgs) || len(berrs) != len(cfgs) {
@@ -100,7 +98,7 @@ func TestExecBatchCallbackStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo := traceExec(sp, sim.ExecConfig{Engine: sim.EngineFast})
+	solo := traceExec(sim.Exec, sp, sim.ExecConfig{})
 
 	const lanes = 3
 	traces := make([]*engineTrace, lanes)
@@ -109,7 +107,6 @@ func TestExecBatchCallbackStreams(t *testing.T) {
 		tr := &engineTrace{}
 		traces[i] = tr
 		cfgs[i] = sim.ExecConfig{
-			Engine: sim.EngineFast,
 			OnStore: func(addr uint32, size int, val uint32) {
 				tr.stores = append(tr.stores, [3]uint32{addr, uint32(size), val})
 			},

@@ -11,10 +11,6 @@ import (
 
 // ExecConfig parameterizes the scheduled-code cycle simulator.
 type ExecConfig struct {
-	// Engine selects the executor implementation (zero value = the
-	// pre-decoded fast core; EngineLegacy forces the original
-	// interpretive loop). Both produce byte-identical results.
-	Engine Engine
 	// MaxCycles bounds execution (0 = default of 500M cycles).
 	MaxCycles int64
 	// OnFault is consulted on a *precise* (sequential) fault; returning
@@ -116,7 +112,24 @@ type ExecResult struct {
 	Fault *Fault
 }
 
-// execState is the machine state of one scheduled execution.
+// Exec runs a scheduled program to completion on its model, applying full
+// boosting hardware semantics and counting cycles. The program is lowered
+// once by Predecode and run on the allocation-free fast core.
+func Exec(sp *machine.SchedProgram, cfg ExecConfig) (*ExecResult, error) {
+	pd, err := Predecode(sp)
+	if err != nil {
+		return nil, err
+	}
+	return pd.Exec(cfg)
+}
+
+// The rest of this file is the oracle: the original interpreter, which
+// walks the machine.SchedProgram structures directly instead of a
+// predecoded form. It models the same boosting hardware as the fast core,
+// about ten times more slowly, and exists so tests can hold the fast core
+// to it byte for byte.
+
+// execState is the machine state of one oracle execution.
 type execState struct {
 	sprog *machine.SchedProgram
 	cfg   *ExecConfig
@@ -137,25 +150,13 @@ type execState struct {
 	spec specStallTracker
 }
 
-// Exec runs a scheduled program to completion on its model, applying full
-// boosting hardware semantics and counting cycles. The executor engine is
-// chosen by cfg.Engine: by default the program is lowered once by
-// Predecode and run on the allocation-free fast core; EngineLegacy forces
-// the original interpretive loop. Both engines produce byte-identical
-// results and statistics.
-func Exec(sp *machine.SchedProgram, cfg ExecConfig) (*ExecResult, error) {
-	if cfg.Engine == EngineLegacy {
-		return execLegacy(sp, cfg)
-	}
-	pd, err := Predecode(sp)
-	if err != nil {
-		return nil, err
-	}
-	return pd.Exec(cfg)
-}
-
-// execLegacy is the original structure-walking executor.
-func execLegacy(sp *machine.SchedProgram, cfg ExecConfig) (*ExecResult, error) {
+// ExecOracle runs sp on the original interpreter. It is the fast core's
+// test oracle: Exec(sp, cfg) must return exactly what it returns — result,
+// error and every callback event, in order — which the engine-identity
+// tests, the golden traces, FuzzFastCore and the difftest "/legacy"
+// configurations check. No production path calls it, so the linker
+// leaves the interpreter out of every binary that never does.
+func ExecOracle(sp *machine.SchedProgram, cfg ExecConfig) (*ExecResult, error) {
 	mainSP := sp.Procs["main"]
 	if mainSP == nil {
 		return nil, fmt.Errorf("sim: scheduled program has no main")

@@ -16,9 +16,9 @@ import (
 // issue-cycle scratch) lives in a pooled fastState whose pieces are reset
 // by generation counter or slice truncation rather than reallocation, and
 // no map lookups or string hashing happen per cycle. It mirrors the
-// semantics of execLegacy in exec.go instruction for instruction: both
-// engines must produce byte-identical ExecResults, which the golden-trace
-// suite and the difftest oracle enforce.
+// semantics of the interpreter behind ExecOracle (exec.go) instruction for
+// instruction: both must produce byte-identical ExecResults, which the
+// golden-trace suite and the difftest oracle enforce.
 
 // fastShadow is the boosting shadow register file in dense form, keyed by
 // *maturity epoch* rather than by boost level: a write at level L during
@@ -143,7 +143,7 @@ func (sh *fastShadow) commit(regs []uint32) {
 }
 
 // count returns the number of outstanding (register, level) entries; it
-// matches the per-entry squash accounting of the legacy shadow file.
+// matches the per-entry squash accounting of the oracle's shadow file.
 func (sh *fastShadow) count() int {
 	n := 0
 	for occ := sh.occ; occ != 0; occ &= occ - 1 {
@@ -348,7 +348,7 @@ type fastCtl struct {
 // the unexecuted tail (later slots of this cycle plus all later cycles) is
 // subtracted, and the locally-mirrored cycle counter and ready watermark
 // are written back. The partial result is then byte-identical to
-// per-instruction counting, which is what the legacy engine reports.
+// per-instruction counting, which is what the oracle reports.
 func (fs *fastState) failCycle(fb *fastBlock, ci int32, insts []fastInst, i int, cycles, maxReady int64) {
 	res := fs.res
 	for j := i + 1; j < len(insts); j++ {
@@ -383,7 +383,7 @@ func (fs *fastState) failCycle(fb *fastBlock, ci int32, insts []fastInst, i int,
 // validated=true means the successor was pre-checked at predecode and
 // the caller may skip schedule validation. Recovery, mispredicted
 // squash, calls, and returns always leave the chain, which keeps
-// squash/recovery semantics byte-identical to the legacy engine.
+// squash/recovery semantics byte-identical to the oracle.
 func (fs *fastState) runBlock(fb *fastBlock) (next int32, validated, done bool, err error) {
 	pd, res := fs.pd, fs.res
 	regs, regReady := fs.regs, fs.regReady

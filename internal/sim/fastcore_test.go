@@ -2,10 +2,10 @@ package sim_test
 
 // External black-box tests of the fast execution core: they compile real
 // workloads through the production pipeline stages (profile → transfer →
-// schedule) and assert the fast core is byte-identical to the legacy
-// interpreter in every observable dimension — the ExecResult, and the
-// store/squash/block callback streams — across machine models, fault
-// injections and the finite data-cache model.
+// schedule) and assert the fast core (sim.Exec) is byte-identical to the
+// oracle interpreter (sim.ExecOracle) in every observable dimension — the
+// ExecResult, and the store/squash/block callback streams — across machine
+// models, fault injections and the finite data-cache model.
 
 import (
 	"reflect"
@@ -52,7 +52,11 @@ type engineTrace struct {
 	blockIDs []int
 }
 
-func traceExec(sp *machine.SchedProgram, cfg sim.ExecConfig) *engineTrace {
+// executor runs a schedule: sim.Exec (the fast core) or sim.ExecOracle.
+type executor func(*machine.SchedProgram, sim.ExecConfig) (*sim.ExecResult, error)
+
+// traceExec runs sp under cfg on exec, recording every callback event.
+func traceExec(exec executor, sp *machine.SchedProgram, cfg sim.ExecConfig) *engineTrace {
 	tr := &engineTrace{}
 	cfg.OnStore = func(addr uint32, size int, val uint32) {
 		tr.stores = append(tr.stores, [3]uint32{addr, uint32(size), val})
@@ -62,7 +66,7 @@ func traceExec(sp *machine.SchedProgram, cfg sim.ExecConfig) *engineTrace {
 		tr.blocks = append(tr.blocks, proc)
 		tr.blockIDs = append(tr.blockIDs, id)
 	}
-	res, err := sim.Exec(sp, cfg)
+	res, err := exec(sp, cfg)
 	tr.res = res
 	if err != nil {
 		tr.err = err.Error()
@@ -90,7 +94,7 @@ func diffTraces(t *testing.T, label string, fast, legacy *engineTrace) {
 	}
 }
 
-// TestEnginesByteIdentical proves the fast core reproduces the legacy
+// TestEnginesByteIdentical proves the fast core reproduces the oracle
 // interpreter exactly — statistics, output, memory digest, and the full
 // store/squash/block callback streams — on real workloads across every
 // machine model.
@@ -112,8 +116,8 @@ func TestEnginesByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, model, err)
 			}
-			fast := traceExec(sp, sim.ExecConfig{Engine: sim.EngineFast})
-			legacy := traceExec(sp, sim.ExecConfig{Engine: sim.EngineLegacy})
+			fast := traceExec(sim.Exec, sp, sim.ExecConfig{})
+			legacy := traceExec(sim.ExecOracle, sp, sim.ExecConfig{})
 			diffTraces(t, name+"/"+model.Name, fast, legacy)
 		}
 	}
@@ -121,8 +125,8 @@ func TestEnginesByteIdentical(t *testing.T) {
 
 // TestEnginesIdenticalUnderInjection checks that the deliberately broken
 // hardware modes (used by the difftest oracle's self-tests) behave the
-// same on both engines, including the Leaked accounting after a skipped
-// squash.
+// same on the fast core and the oracle, including the Leaked accounting
+// after a skipped squash.
 func TestEnginesIdenticalUnderInjection(t *testing.T) {
 	master := compileWorkload(t, "grep")
 	injections := []sim.FaultInjection{
@@ -134,15 +138,16 @@ func TestEnginesIdenticalUnderInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := traceExec(sp, sim.ExecConfig{Engine: sim.EngineFast, Inject: inj})
-		legacy := traceExec(sp, sim.ExecConfig{Engine: sim.EngineLegacy, Inject: inj})
+		fast := traceExec(sim.Exec, sp, sim.ExecConfig{Inject: inj})
+		legacy := traceExec(sim.ExecOracle, sp, sim.ExecConfig{Inject: inj})
 		diffTraces(t, "grep/inject", fast, legacy)
 	}
 }
 
-// TestEnginesIdenticalWithMemHier runs both engines with the memory
-// hierarchy, whose miss stalls perturb cycle accounting mid-instruction.
-// Several configs exercise the MSHR/write-buffer/prefetcher paths.
+// TestEnginesIdenticalWithMemHier runs the fast core and the oracle with
+// the memory hierarchy, whose miss stalls perturb cycle accounting
+// mid-instruction. Several configs exercise the MSHR/write-buffer/
+// prefetcher paths.
 func TestEnginesIdenticalWithMemHier(t *testing.T) {
 	master := compileWorkload(t, "grep")
 	sp, err := core.Schedule(prog.Clone(master), machine.Boost7(), core.Options{})
@@ -166,8 +171,8 @@ func TestEnginesIdenticalWithMemHier(t *testing.T) {
 	}
 	for name, mc := range configs {
 		mc := mc
-		fast := traceExec(sp, sim.ExecConfig{Engine: sim.EngineFast, Mem: &mc})
-		legacy := traceExec(sp, sim.ExecConfig{Engine: sim.EngineLegacy, Mem: &mc})
+		fast := traceExec(sim.Exec, sp, sim.ExecConfig{Mem: &mc})
+		legacy := traceExec(sim.ExecOracle, sp, sim.ExecConfig{Mem: &mc})
 		diffTraces(t, "grep/mem/"+name, fast, legacy)
 	}
 }

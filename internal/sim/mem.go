@@ -8,9 +8,13 @@
 //     with full boosting hardware semantics — shadow register file with
 //     level counters (paper Figure 7), shadow store buffer, one-bit
 //     exception shift buffer, commit/squash at branches, and dispatch to
-//     compiler-generated recovery code on boosted exceptions.
+//     compiler-generated recovery code on boosted exceptions. It runs
+//     on the predecoded fast core (Predecode, ExecBatch for lockstep
+//     lanes);
+//   - ExecOracle: the original interpreter of the same hardware, kept
+//     only as the fast core's test oracle.
 //
-// Both interpreters share the paged memory model and fault taxonomy here.
+// All of them share the paged memory model and fault taxonomy here.
 package sim
 
 import "fmt"

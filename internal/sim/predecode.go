@@ -15,12 +15,12 @@ import (
 // in the same order buildLinkTable assigns return tokens, so a return
 // token IS a dense block index plus retTokenBase), control targets are
 // resolved to those indices, operands become small ints, and per-op
-// facts the legacy loop recomputes every cycle — functional-unit kind,
+// facts the oracle's loop recomputes every cycle — functional-unit kind,
 // memory access size/extension, result latency, use/def registers — are
 // computed once here.
 
 // Operation kinds the fast executor dispatches on. They collapse the
-// per-instruction switch of the legacy loop into a dense jump. The kinds
+// per-instruction switch of the oracle's loop into a dense jump. The kinds
 // are pre-specialized at predecode so the threaded inner loop does no
 // per-instruction re-classification: ALU operations that can never fault
 // (everything but the divide family) get their own kind and execute
@@ -57,7 +57,7 @@ type fastInst struct {
 	imm     int32
 	// use0/use1/def drive the interlock and ready bookkeeping. -1 means
 	// "no register in this role"; R0 is a valid (if architecturally
-	// inert) participant, exactly as in the legacy loop.
+	// inert) participant, exactly as in the oracle's loop.
 	use0, use1, def int32
 }
 

@@ -7,8 +7,10 @@ import (
 	"boosting/internal/machine"
 )
 
-// shadowFile models the boosting shadow register file. Each register may
-// hold uncommitted boosted values, one per outstanding boosting level.
+// shadowFile models the boosting shadow register file for the oracle
+// interpreter (ExecOracle); the fast core's dense form is fastShadow.
+// Each register may hold uncommitted boosted values, one per outstanding
+// boosting level.
 //
 //   - Full/multi-shadow hardware (Boost7, paper §4.1): every level has its
 //     own physical location, implemented there with register/counter pools;

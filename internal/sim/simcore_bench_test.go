@@ -44,18 +44,23 @@ func scheduleBoost7(tb testing.TB, name string) *machine.SchedProgram {
 	return sp
 }
 
-// BenchmarkSimCore measures whole-run simulation throughput of both
-// engines on the long kernels, reporting allocations and normalized
-// ns per simulated machine cycle.
+// BenchmarkSimCore measures whole-run simulation throughput of the fast
+// core and of the oracle interpreter ("legacy", the name
+// BENCH_simcore.json records it under) on the long kernels, reporting
+// allocations and normalized ns per simulated machine cycle.
 func BenchmarkSimCore(b *testing.B) {
+	executors := []struct {
+		name string
+		exec executor
+	}{{"fast", sim.Exec}, {"legacy", sim.ExecOracle}}
 	for _, name := range simcoreWorkloads {
 		sp := scheduleBoost7(b, name)
-		for _, engine := range sim.Engines() {
-			b.Run(engine.String()+"/"+name, func(b *testing.B) {
+		for _, e := range executors {
+			b.Run(e.name+"/"+name, func(b *testing.B) {
 				b.ReportAllocs()
 				var cycles int64
 				for i := 0; i < b.N; i++ {
-					res, err := sim.Exec(sp, sim.ExecConfig{Engine: engine})
+					res, err := e.exec(sp, sim.ExecConfig{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -67,7 +72,7 @@ func BenchmarkSimCore(b *testing.B) {
 	}
 }
 
-// engineBench is one engine's measurement in BENCH_simcore.json.
+// engineBench is one executor's measurement in BENCH_simcore.json.
 type engineBench struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	NsPerCycle  float64 `json:"ns_per_cycle"`
@@ -108,11 +113,11 @@ type simcoreBenchFile struct {
 }
 
 // measureEngine times reps whole-program runs and counts steady-state
-// allocations for one engine.
-func measureEngine(tb testing.TB, sp *machine.SchedProgram, engine sim.Engine, reps int) (engineBench, int64) {
+// allocations for one executor.
+func measureEngine(tb testing.TB, sp *machine.SchedProgram, exec executor, reps int) (engineBench, int64) {
 	tb.Helper()
 	run := func() int64 {
-		res, err := sim.Exec(sp, sim.ExecConfig{Engine: engine})
+		res, err := exec(sp, sim.ExecConfig{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -211,11 +216,12 @@ func measureBatch(tb testing.TB, master *prog.Program, n, reps int) batchBench {
 	}
 }
 
-// TestWriteSimcoreBenchJSON measures both engines on the long kernels and
-// writes BENCH_simcore.json (path in SIMCORE_BENCH_JSON; skipped when
-// unset so `go test ./...` stays quiet). It fails outright if the fast
-// core has lost its headline properties — <3x over legacy or an
-// allocating steady state — so a regressed baseline cannot be committed.
+// TestWriteSimcoreBenchJSON measures the fast core and the oracle
+// interpreter ("legacy") on the long kernels and writes
+// BENCH_simcore.json (path in SIMCORE_BENCH_JSON; skipped when unset so
+// `go test ./...` stays quiet). It fails outright if the fast core has
+// lost its headline properties — <3x over legacy or an allocating steady
+// state — so a regressed baseline cannot be committed.
 func TestWriteSimcoreBenchJSON(t *testing.T) {
 	out := os.Getenv("SIMCORE_BENCH_JSON")
 	if out == "" {
@@ -228,8 +234,8 @@ func TestWriteSimcoreBenchJSON(t *testing.T) {
 	}
 	for _, name := range simcoreWorkloads {
 		sp := scheduleBoost7(t, name)
-		fast, cycles := measureEngine(t, sp, sim.EngineFast, 5)
-		legacy, _ := measureEngine(t, sp, sim.EngineLegacy, 3)
+		fast, cycles := measureEngine(t, sp, sim.Exec, 5)
+		legacy, _ := measureEngine(t, sp, sim.ExecOracle, 3)
 		wb := workloadBench{
 			Model:   "Boost7",
 			Cycles:  cycles,
@@ -309,7 +315,7 @@ func TestSimcoreBenchRegression(t *testing.T) {
 			continue
 		}
 		sp := scheduleBoost7(t, name)
-		got, _ := measureEngine(t, sp, sim.EngineFast, 5)
+		got, _ := measureEngine(t, sp, sim.Exec, 5)
 		ratio := got.NsPerOp / wb.Fast.NsPerOp
 		t.Logf("%s: fast %.2fms vs baseline %.2fms (%.2fx)", name, got.NsPerOp/1e6, wb.Fast.NsPerOp/1e6, ratio)
 		if ratio > tolerance {

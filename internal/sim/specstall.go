@@ -6,8 +6,8 @@ package sim
 // level-1 stalls become architecturally useful work and deeper levels
 // shift down one; when speculation is squashed (misprediction or boosted
 // exception recovery), every outstanding cycle was wasted on a wrong path
-// and is reported as SquashedMemStalls. Both engines drive the tracker at
-// identical points, so the derived statistics are engine-invariant.
+// and is reported as SquashedMemStalls. The fast core and the oracle drive
+// the tracker at identical points, so the derived statistics agree.
 type specStallTracker struct {
 	pending []int64 // index = boost level; [0] unused
 }

@@ -5,7 +5,6 @@ import (
 
 	"boosting/internal/core"
 	"boosting/internal/memhier"
-	"boosting/internal/sim"
 )
 
 // Option is a functional option for the Pipeline. Options passed to
@@ -20,7 +19,6 @@ type config struct {
 	core        core.Options
 	infiniteReg bool
 	parallelism int
-	engine      sim.Engine
 	verifyEach  bool
 	artifacts   ArtifactCache
 	mem         *memhier.Config
@@ -77,19 +75,6 @@ func WithMaxTraceBlocks(n int) Option {
 func WithParallelism(n int) Option {
 	return func(c *config) { c.parallelism = n }
 }
-
-// WithEngine selects the cycle-simulator engine. The default
-// (sim.EngineFast) is the pre-decoded allocation-free core;
-// sim.EngineLegacy forces the original interpretive executor. Both
-// produce byte-identical results — the option exists as an escape hatch
-// and for differential testing.
-func WithEngine(e sim.Engine) Option {
-	return func(c *config) { c.engine = e }
-}
-
-// WithLegacyEngine forces the original interpretive executor; shorthand
-// for WithEngine(sim.EngineLegacy).
-func WithLegacyEngine() Option { return WithEngine(sim.EngineLegacy) }
 
 // WithArtifactCache installs a persistent artifact cache. Compile
 // consults it before building (a hit skips compilation entirely) and the
@@ -189,40 +174,4 @@ func Ablations() []Ablation {
 		{Name: "short-traces", Opts: []Option{WithMaxTraceBlocks(2)}},
 		{Name: "local-only", Opts: []Option{WithLocalOnly()}},
 	}
-}
-
-// Options controls the compilation pipeline.
-//
-// Deprecated: Options is the legacy knob struct kept for
-// CompileAndRun/RunDynamic compatibility. New code should use the
-// Pipeline API with functional options (WithLocalOnly,
-// WithInfiniteRegisters, WithoutEquivalence, WithoutDisambiguation, ...),
-// which extend to new ablations without breaking callers.
-type Options struct {
-	// LocalOnly restricts scheduling to basic blocks (no global motion).
-	LocalOnly bool
-	// InfiniteRegisters skips register allocation and schedules the
-	// virtual-register program directly (the paper's upper bars).
-	InfiniteRegisters bool
-	// DisableEquivalence and NoDisambiguation are scheduler ablations.
-	DisableEquivalence bool
-	NoDisambiguation   bool
-}
-
-// asOpts bridges the legacy struct to functional options.
-func (o Options) asOpts() []Option {
-	var opts []Option
-	if o.LocalOnly {
-		opts = append(opts, WithLocalOnly())
-	}
-	if o.InfiniteRegisters {
-		opts = append(opts, WithInfiniteRegisters())
-	}
-	if o.DisableEquivalence {
-		opts = append(opts, WithoutEquivalence())
-	}
-	if o.NoDisambiguation {
-		opts = append(opts, WithoutDisambiguation())
-	}
-	return opts
 }

@@ -33,8 +33,6 @@ import (
 // singleflight deduplication, so one Pipeline can drive many Simulate
 // calls (or a whole Grid) concurrently without ever rebuilding shared
 // work. All methods are safe for concurrent use.
-//
-// A zero-cost entry point for one-off runs remains as CompileAndRun.
 type Pipeline struct {
 	base     config
 	compiles *cache.Memo[*Compiled]
@@ -213,7 +211,7 @@ func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Mod
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
 	}
-	res, err := sim.Exec(sp, sim.ExecConfig{Engine: cfg.engine, Mem: cfg.mem})
+	res, err := sim.Exec(sp, sim.ExecConfig{Mem: cfg.mem})
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +235,6 @@ func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Mod
 		p.saveArtifact(ctx, cfg, c)
 	}
 	return &Result{
-		Engine:             cfg.engine.String(),
 		Compile:            schedStats,
 		Cycles:             res.Cycles,
 		ScalarCycles:       scalar,
@@ -259,11 +256,11 @@ func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Mod
 // compiled artifact is scheduled (or fetched from its variant cache) and
 // predecoded once, then every lane runs in a single lockstep
 // sim.ExecBatch pass and is verified against the reference interpreter.
-// Lane option sets may vary only execution-side knobs — WithEngine,
-// WithMemHier / WithPerfectMemory — because all lanes share the schedule;
-// a lane whose options would change the schedule variant (scheduler
-// ablations, WithLocalOnly, ...) fails the whole batch, since its result
-// could not equal a solo Simulate of those options. results[i]/errs[i]
+// Lane option sets may vary only the memory hierarchy — WithMemHier /
+// WithPerfectMemory — because all lanes share the schedule; a lane whose
+// options would change the schedule variant (scheduler ablations,
+// WithLocalOnly, ...) fails the whole batch, since its result could not
+// equal a solo Simulate of those options. results[i]/errs[i]
 // mirror Simulate(ctx, c, model, append(opts, lanes[i]...)...) slot for
 // slot; err reports batch-level failures (scheduling, lane validation).
 func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machine.Model, lanes [][]Option, opts ...Option) (results []*Result, errs []error, err error) {
@@ -277,7 +274,7 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 		lc := base.apply(lo)
 		if lk := artifact.VariantKey(model, lc.core); lk != vkey {
 			return nil, nil, fmt.Errorf(
-				"boosting: simulate batch %s on %s: lane %d changes the schedule variant; lanes may only vary execution options (engine, memory hierarchy)",
+				"boosting: simulate batch %s on %s: lane %d changes the schedule variant; lanes may only vary the memory hierarchy",
 				c.Workload, model, i)
 		}
 		laneCfgs[i] = lc
@@ -304,7 +301,7 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 	}
 	cfgs := make([]sim.ExecConfig, len(lanes))
 	for i := range laneCfgs {
-		cfgs[i] = sim.ExecConfig{Engine: laneCfgs[i].engine, Mem: laneCfgs[i].mem}
+		cfgs[i] = sim.ExecConfig{Mem: laneCfgs[i].mem}
 	}
 	execRes, execErrs := sim.ExecBatch(sp, cfgs)
 
@@ -332,7 +329,6 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 			saveNeeded = true
 		}
 		results[i] = &Result{
-			Engine:             laneCfgs[i].engine.String(),
 			Compile:            schedStats,
 			Cycles:             res.Cycles,
 			ScalarCycles:       scalar,
@@ -367,7 +363,7 @@ func (p *Pipeline) SchedulePasses() int64 { return p.schedPasses.Load() }
 // dynamically-scheduled superscalar (30 reservation stations, 16-entry
 // reorder buffer, 2048×4 BTB), with or without register renaming.
 // WithMemHier applies here too: loads and stores then contend for the
-// same finite hierarchy model the static engines use, and the scalar
+// same finite hierarchy model the static machines use, and the scalar
 // baseline is re-measured under it.
 func (p *Pipeline) SimulateDynamic(ctx context.Context, c *Compiled, renaming bool, opts ...Option) (*DynamicResult, error) {
 	pcfg := p.base.apply(opts)
@@ -418,9 +414,7 @@ func (p *Pipeline) CacheStats() (hits, misses int64) {
 	return ch + sh, cm + sm
 }
 
-// scalarCycles memoizes the R2000 baseline per workload. The memo key is
-// engine-free on purpose: the engines are proven cycle-identical, so the
-// baseline is shared across engine selections — but it is keyed by the
+// scalarCycles memoizes the R2000 baseline per workload, keyed by the
 // memory hierarchy, because Speedup must compare like-for-like: a run
 // against a finite hierarchy is measured against a scalar baseline
 // suffering the same hierarchy. A positive hint — carried by a decoded

@@ -8,34 +8,6 @@ import (
 	"testing"
 )
 
-// TestPipelineMatchesCompileAndRun: the staged API must report exactly
-// what the legacy one-shot wrapper reports.
-func TestPipelineMatchesCompileAndRun(t *testing.T) {
-	ctx := context.Background()
-	m := Models().MinBoost3
-	legacy, err := CompileAndRun(WorkloadGrep, m, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p := NewPipeline()
-	c, err := p.Compile(ctx, WorkloadGrep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	staged, err := p.Simulate(ctx, c, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if staged.Cycles != legacy.Cycles || staged.ScalarCycles != legacy.ScalarCycles ||
-		staged.Insts != legacy.Insts || staged.BoostedExec != legacy.BoostedExec ||
-		staged.Squashed != legacy.Squashed ||
-		staged.PredictionAccuracy != legacy.PredictionAccuracy ||
-		staged.ObjectGrowth != legacy.ObjectGrowth {
-		t.Errorf("staged %+v\nlegacy %+v", staged, legacy)
-	}
-}
-
 // TestPipelineCompileMemoized: repeated and concurrent Compile calls for
 // the same (workload, register mode) return the same shared artifact;
 // different register modes get different artifacts.
@@ -118,7 +90,6 @@ func TestPipelineSimulateBatch(t *testing.T) {
 	mem.L1 = MemCacheConfig{Sets: 64, Ways: 1, LineBytes: 16}
 	lanes := [][]Option{
 		nil,
-		{WithLegacyEngine()},
 		{WithMemHier(mem)},
 		nil,
 	}
@@ -139,7 +110,7 @@ func TestPipelineSimulateBatch(t *testing.T) {
 		if b.Cycles != solo.Cycles || b.Speedup != solo.Speedup ||
 			b.ScalarCycles != solo.ScalarCycles || b.Insts != solo.Insts ||
 			b.BoostedExec != solo.BoostedExec || b.Squashed != solo.Squashed ||
-			b.MemStalls != solo.MemStalls || b.Engine != solo.Engine {
+			b.MemStalls != solo.MemStalls {
 			t.Errorf("lane %d diverges from solo Simulate:\nbatch %+v\nsolo  %+v", i, b, solo)
 		}
 	}
