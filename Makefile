@@ -13,7 +13,7 @@ COVER_FLOOR_DYNSCHED ?= 85
 COVER_FLOOR_WORKLOADS ?= 75
 COVER_FLOOR_MEMHIER ?= 90
 
-.PHONY: all test test-short test-race bench bench-json bench-simcore bench-simcore-check bench-compile bench-compile-check bench-artifact bench-memhier bench-memhier-check experiments fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
+.PHONY: all test test-short test-race bench bench-json bench-simcore bench-simcore-check bench-compile bench-compile-check bench-artifact bench-memhier bench-memhier-check experiments experiments-golden fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
 
 all: vet test test-race fuzz-quick
 
@@ -89,6 +89,13 @@ bench-memhier-check:
 
 experiments:
 	$(GO) run ./cmd/experiments -all
+
+# experiments-golden rewrites cmd/experiments/testdata/all.golden (the
+# stdout of `experiments -all`) and all.csv.golden (its -csv file), which
+# TestAllGolden checks byte for byte. Regenerate only when a change is
+# meant to move the paper's numbers, and say which numbers moved.
+experiments-golden:
+	$(GO) test ./cmd/experiments/ -count=1 -run TestAllGolden -update
 
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=60s ./internal/prog/

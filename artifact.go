@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"boosting/internal/artifact"
+	"boosting/internal/cache"
 	"boosting/internal/machine"
 	"boosting/internal/sim"
 	"boosting/internal/workloads"
@@ -103,6 +104,7 @@ func compiledFromArtifact(a *artifact.Artifact, source string) *Compiled {
 		Workload:          a.Workload,
 		InfiniteRegisters: a.InfiniteRegisters,
 		w:                 w,
+		artKey:            compileKey(a.Workload, !a.InfiniteRegisters),
 		master:            a.Program,
 		ref: &sim.Result{
 			Out:      a.Ref.Out,
@@ -114,6 +116,7 @@ func compiledFromArtifact(a *artifact.Artifact, source string) *Compiled {
 		acc:       a.Accuracy,
 		stats:     a.Stats,
 		source:    source,
+		scalars:   cache.NewMemo[int64](),
 		scalarCyc: a.ScalarCycles,
 	}
 	for _, v := range a.Variants {
@@ -179,13 +182,14 @@ func (c *Compiled) setScalarCycles(v int64) bool {
 }
 
 // saveArtifact writes the compiled program's current state through the
-// configured artifact cache. Failures are deliberately dropped: the
-// cache is an accelerator, never a correctness dependency.
+// configured artifact cache, unless the cache must not hold it. Failures
+// are deliberately dropped: the cache is an accelerator, never a
+// correctness dependency.
 func (p *Pipeline) saveArtifact(ctx context.Context, cfg config, c *Compiled) {
-	if cfg.artifacts == nil {
+	if cfg.artifacts == nil || c.artKey == "" {
 		return
 	}
-	_ = cfg.artifacts.Put(ctx, compileKey(c.Workload, !c.InfiniteRegisters), c.Artifact())
+	_ = cfg.artifacts.Put(ctx, c.artKey, c.Artifact())
 }
 
 func sortVariants(vs []*artifact.Variant) {

@@ -4,7 +4,7 @@
 // simulate, verify) and reports the headline numbers via b.ReportMetric,
 // so `go test -bench=. -benchmem` reproduces the paper's results table by
 // table.
-package boosting
+package boosting_test
 
 import (
 	"context"

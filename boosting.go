@@ -201,15 +201,9 @@ func ScheduleListing(ctx context.Context, workload string, model *machine.Model,
 	if err != nil {
 		return "", err
 	}
-	cfg := p.base.apply(opts)
-	test := c.Program()
-	sp, err := core.Schedule(test, model, cfg.core)
+	sp, _, err := p.Schedule(ctx, c, model, opts...)
 	if err != nil {
 		return "", err
 	}
-	var sb strings.Builder
-	for _, name := range test.Order {
-		sb.WriteString(sp.Procs[name].Format())
-	}
-	return sb.String(), nil
+	return sp.Format(), nil
 }

@@ -25,12 +25,7 @@ import (
 	"strings"
 
 	"boosting"
-	"boosting/internal/core"
-	"boosting/internal/machine"
-	"boosting/internal/passes"
-	"boosting/internal/profile"
 	"boosting/internal/prog"
-	"boosting/internal/regalloc"
 )
 
 func main() {
@@ -83,39 +78,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	pm := passes.NewManager()
-	pm.VerifyEach = *verifyEach
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	var (
-		pr  *prog.Program
-		c   *boosting.Compiled
-		art *boosting.Artifact
-	)
+	var opts []boosting.Option
+	if *inf {
+		opts = append(opts, boosting.WithInfiniteRegisters())
+	}
+	if *verifyEach {
+		opts = append(opts, boosting.WithVerifyEach())
+	}
+	p := boosting.NewPipeline(opts...)
+	var c *boosting.Compiled
 	switch {
 	case *asmFile != "":
-		// Assembly input bypasses the workload pipeline: parse, then run
-		// the same allocate/profile stages as named passes.
-		err = pm.Run("parse", func() error {
-			text, err := os.ReadFile(*asmFile)
-			if err != nil {
-				return err
-			}
-			pr, err = prog.Parse(string(text))
-			return err
-		})
-		if err == nil && !*inf {
-			err = pm.Run("regalloc", func() error {
-				_, err := regalloc.Allocate(pr)
-				return err
-			}, pr)
-		}
-		if err == nil {
-			err = pm.Run("profile", func() error {
-				return profile.Annotate(pr)
-			}, pr)
-		}
+		text, err := os.ReadFile(*asmFile)
 		if err != nil {
+			return fail(err)
+		}
+		if c, err = p.CompileAsm(ctx, string(text), 0); err != nil {
 			return fail(err)
 		}
 	case *load != "":
@@ -123,57 +103,40 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		if art, err = boosting.DecodeArtifact(data); err != nil {
-			return fail(err)
-		}
-		if c, err = boosting.NewPipeline().CompileFromArtifact(ctx, art); err != nil {
-			return fail(err)
-		}
-		pr = c.Program()
-		pm.Stats().Add(c.CompileStats())
-		fmt.Fprintf(stdout, "boostcc: loaded artifact for %s (%d recorded schedules)\n",
-			c.Workload, len(art.Variants))
-	default:
-		opts := []boosting.Option{}
-		if *inf {
-			opts = append(opts, boosting.WithInfiniteRegisters())
-		}
-		if *verifyEach {
-			opts = append(opts, boosting.WithVerifyEach())
-		}
-		var err error
-		c, err = boosting.NewPipeline().Compile(ctx, *workload, opts...)
+		art, err := boosting.DecodeArtifact(data)
 		if err != nil {
 			return fail(err)
 		}
-		pr = c.Program()
-		pm.Stats().Add(c.CompileStats())
+		if c, err = p.CompileFromArtifact(ctx, art); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "boostcc: loaded artifact for %s (%d recorded schedules)\n",
+			c.Workload, len(art.Variants))
+	default:
+		var err error
+		if c, err = p.Compile(ctx, *workload); err != nil {
+			return fail(err)
+		}
 	}
 
 	if *src {
 		fmt.Fprintln(stdout, "== program IR ==")
-		fmt.Fprintln(stdout, prog.FormatProgram(pr))
+		fmt.Fprintln(stdout, prog.FormatProgram(c.Program()))
 	}
 
-	copts := core.Options{LocalOnly: *local}
-	var sp *machine.SchedProgram
-	if art != nil {
-		if v := art.FindVariant(m, copts); v != nil {
-			sp = v.Sched
-			fmt.Fprintln(stdout, "boostcc: reusing recorded schedule from artifact")
-		}
+	var schedOpts []boosting.Option
+	if *local {
+		schedOpts = append(schedOpts, boosting.WithLocalOnly())
 	}
-	if sp == nil {
-		var err error
-		sp, err = pm.Schedule(pr, m, copts)
-		if err != nil {
-			return fail(err)
-		}
+	sp, schedStats, err := p.Schedule(ctx, c, m, schedOpts...)
+	if err != nil {
+		return fail(err)
+	}
+	if *load != "" && p.SchedulePasses() == 0 {
+		fmt.Fprintln(stdout, "boostcc: reusing recorded schedule from artifact")
 	}
 	if *emit != "" {
-		a := c.Artifact()
-		a.AddVariant(sp, copts, pm.Stats())
-		data, err := a.Encode()
+		data, err := c.Artifact().Encode()
 		if err != nil {
 			return fail(err)
 		}
@@ -183,20 +146,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "boostcc: wrote artifact to %s (%d bytes)\n", *emit, len(data))
 	}
 	fmt.Fprintf(stdout, "== schedule for %s (object growth %.2fx) ==\n", m, sp.ObjectGrowth())
+	fmt.Fprint(stdout, sp.Format())
 	for _, name := range sp.Prog.Order {
-		fmt.Fprint(stdout, sp.Procs[name].Format())
-	}
-	for _, name := range sp.Prog.Order {
-		p := sp.Procs[name]
-		for id, rec := range p.Recovery {
+		recovery := sp.Procs[name].Recovery
+		ids := make([]int, 0, len(recovery))
+		for id := range recovery {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
 			fmt.Fprintf(stdout, ".recovery for branch %d in %s:\n", id, name)
-			for i := range rec {
-				fmt.Fprintf(stdout, "\t%s\n", rec[i].String())
+			for _, in := range recovery[id] {
+				fmt.Fprintf(stdout, "\t%s\n", in.String())
 			}
 		}
 	}
 	if *passStats {
-		printPassStats(stdout, pm.Stats())
+		stats := &boosting.CompileStats{}
+		stats.Add(c.CompileStats())
+		stats.Add(schedStats)
+		printPassStats(stdout, stats)
 	}
 	return 0
 }

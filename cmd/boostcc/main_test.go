@@ -103,7 +103,7 @@ func TestAsmCompile(t *testing.T) {
 		"== program IR ==",
 		"== schedule for",
 		"== pass stats",
-		"parse", "regalloc", "profile",
+		"parse", "regalloc", "reference-run", "profile",
 		"trace-select", "ddg-build", "list-schedule", "recovery-emit",
 		"motions", "analysis cache",
 	} {
@@ -136,5 +136,37 @@ func TestWorkloadCompile(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+// TestEmitLoadRoundTrip: -emit records the schedule it prints in the
+// artifact, and -load prints the same schedule from the artifact without
+// scheduling; a model the artifact lacks is scheduled afresh.
+func TestEmitLoadRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload compile in -short mode")
+	}
+	art := filepath.Join(t.TempDir(), "grep.bsta")
+	code, emitted, stderr := runCC(t, "-workload", "grep", "-model", "Boost1", "-emit", art)
+	if code != 0 {
+		t.Fatalf("-emit: run = %d, stderr: %s", code, stderr)
+	}
+	code, loaded, stderr := runCC(t, "-load", art, "-model", "Boost1")
+	if code != 0 {
+		t.Fatalf("-load: run = %d, stderr: %s", code, stderr)
+	}
+	if !strings.Contains(loaded, "(1 recorded schedules)") || !strings.Contains(loaded, "reusing recorded schedule") {
+		t.Errorf("-load did not reuse the emitted schedule:\n%s", loaded)
+	}
+	schedule := func(out string) string { return out[strings.Index(out, "== schedule for"):] }
+	if got, want := schedule(loaded), schedule(emitted); got != want {
+		t.Errorf("loaded schedule differs from the emitted one:\n--- emitted ---\n%s\n--- loaded ---\n%s", want, got)
+	}
+	code, other, stderr := runCC(t, "-load", art, "-model", "NoBoost")
+	if code != 0 {
+		t.Fatalf("-load -model NoBoost: run = %d, stderr: %s", code, stderr)
+	}
+	if strings.Contains(other, "reusing recorded schedule") {
+		t.Errorf("a model the artifact lacks reused a schedule:\n%s", other)
 	}
 }

@@ -15,36 +15,36 @@
 // allocation first, then scheduling), branch predictions come from a
 // profile on the training input, performance is measured on the test
 // input, and speedup is total R2000 cycles divided by total cycles of the
-// machine under test. Every simulated run is verified against the
-// reference interpreter's output and final memory before its cycle count
-// is used.
+// machine under test. That method lives in boosting.Pipeline, which
+// builds every program, runs its reference and R2000 baseline, and
+// verifies every simulated run against the reference interpreter's output
+// and final memory before its cycle count is used.
 //
 // The harness is concurrent: a worker-pool Runner executes the
-// (workload, model, ablation) grid in parallel over a singleflight
-// artifact Store, so no two grid cells ever rebuild the same compiled
-// pair, reference run or measurement, and results are bit-identical to a
-// serial run regardless of parallelism. Every entry point takes a
-// context.Context and aborts promptly when it is cancelled.
+// (workload, model, ablation) grid in parallel over one Pipeline and a
+// Store that memoizes each cell's verified result with singleflight
+// deduplication, so no two grid cells ever rebuild the same compiled
+// program or repeat a measurement, and results are bit-identical to a
+// serial run regardless of parallelism. The Store keeps no schedules (see
+// Store). Every entry point takes a context.Context and aborts promptly
+// when it is cancelled.
 package experiments
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"boosting/internal/core"
 	"boosting/internal/machine"
-	"boosting/internal/sim"
 	"boosting/internal/workloads"
 )
 
-// Suite runs experiments over the benchmark set. All artifacts (compiled
-// programs, reference runs, cycle counts) are memoized in the Store and
-// shared between the table/figure functions; the Runner executes
-// measurement grids in parallel.
+// Suite runs experiments over the benchmark set. Every measurement is
+// memoized in the Store and shared between the table/figure functions;
+// the Runner executes measurement grids in parallel.
 type Suite struct {
 	Workloads []*workloads.Workload
-	// Store memoizes every pipeline artifact (concurrency-safe).
+	// Store memoizes every verified result (concurrency-safe).
 	Store *Store
 	// Runner executes measurement grids; set Runner.Parallelism to bound
 	// concurrency (defaults to GOMAXPROCS).
@@ -62,43 +62,13 @@ func NewSuite() *Suite {
 	}
 }
 
-// Metrics returns the per-stage counters accumulated so far (build,
-// schedule and simulate wall time, simulated cycles, cache hits/misses,
-// speculation activity).
+// Metrics returns the counts accumulated so far: builds, schedule passes
+// and simulations — the Suite's own and those its pipeline made for
+// baselines and dynamic runs — with the simulated cycles and speculative
+// activity they produced, and memo hits/misses. The run counts grow
+// only when a result is first computed, so a warm Suite answers without
+// moving them.
 func (s *Suite) Metrics() Snapshot { return s.Store.Metrics() }
-
-// reference returns (cached) reference results for the test input.
-func (s *Suite) reference(ctx context.Context, w *workloads.Workload, alloc bool) (*sim.Result, error) {
-	return s.Store.reference(ctx, w, alloc)
-}
-
-// measure compiles the workload for the model/options and returns verified
-// cycle counts.
-func (s *Suite) measure(ctx context.Context, w *workloads.Workload, model *machine.Model, opts core.Options, alloc bool) (int64, error) {
-	return s.Store.measure(ctx, w, model, opts, alloc)
-}
-
-// verify compares observable behavior with the reference run.
-func verify(ref *sim.Result, out []uint32, memHash uint64) error {
-	if len(out) != len(ref.Out) {
-		return fmt.Errorf("verification failed: %d outputs, want %d", len(out), len(ref.Out))
-	}
-	for i := range out {
-		if out[i] != ref.Out[i] {
-			return fmt.Errorf("verification failed: out[%d] = %d, want %d", i, out[i], ref.Out[i])
-		}
-	}
-	if memHash != ref.MemHash {
-		return fmt.Errorf("verification failed: final memory differs")
-	}
-	return nil
-}
-
-// scalarCycles measures the R2000 baseline (locally scheduled, register
-// allocated — the "commercial MIPS assembler" role).
-func (s *Suite) scalarCycles(ctx context.Context, w *workloads.Workload) (int64, error) {
-	return s.measure(ctx, w, machine.Scalar(), core.Options{LocalOnly: true}, true)
-}
 
 // scalarCell is the grid cell for the R2000 baseline measurement.
 func scalarCell(w *workloads.Workload) Cell {

@@ -29,17 +29,22 @@ func (s *Suite) UnrolledCycles(ctx context.Context, w *workloads.Workload) (int6
 // MeasureModel runs the standard pipeline (register allocation before
 // scheduling) for one workload on one model and returns verified cycles.
 func (s *Suite) MeasureModel(ctx context.Context, w *workloads.Workload, model *machine.Model) (int64, error) {
-	return s.measure(ctx, w, model, core.Options{}, true)
+	return s.Store.measure(ctx, w, model, core.Options{}, true)
 }
 
-// DynCycles exposes the dynamic-scheduler measurement used by Figure 9.
+// DynCycles measures the dynamically-scheduled machine on the
+// register-allocated test program (cached), as Figure 9 does. The
+// dynamic machine does its own prediction with a BTB, so the static
+// profile is irrelevant to it, but the input program is the same one the
+// static machines compile.
 func (s *Suite) DynCycles(ctx context.Context, w *workloads.Workload, renaming bool) (int64, error) {
-	return s.dynCycles(ctx, w, renaming)
+	return s.Store.dynMeasure(ctx, w, renaming, false)
 }
 
-// ScalarCycles exposes the R2000 baseline measurement.
+// ScalarCycles measures the R2000 baseline (locally scheduled, register
+// allocated — the "commercial MIPS assembler" role).
 func (s *Suite) ScalarCycles(ctx context.Context, w *workloads.Workload) (int64, error) {
-	return s.scalarCycles(ctx, w)
+	return s.Store.scalar(ctx, w, nil)
 }
 
 // CacheSpeedups measures the memory-system caveat the paper states in
@@ -47,11 +52,11 @@ func (s *Suite) ScalarCycles(ctx context.Context, w *workloads.Workload) (int64,
 // memory system"): speedups of MinBoost3 over the scalar machine with a
 // finite data cache on both, versus the paper's perfect memory.
 func (s *Suite) CacheSpeedups(ctx context.Context, w *workloads.Workload) (perfect, cached float64, err error) {
-	scalarPerfect, err := s.scalarCycles(ctx, w)
+	scalarPerfect, err := s.ScalarCycles(ctx, w)
 	if err != nil {
 		return 0, 0, err
 	}
-	boostPerfect, err := s.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
+	boostPerfect, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -59,14 +64,14 @@ func (s *Suite) CacheSpeedups(ctx context.Context, w *workloads.Workload) (perfe
 	// 16-byte lines, 12-cycle blocking miss (memhier.SingleLevel
 	// reproduces its timing exactly).
 	mcfg := memhier.SingleLevel(512, 1, 16, 12)
-	scalarCached, err := s.Store.measureMem(ctx, w, machine.Scalar(), core.Options{LocalOnly: true}, mcfg)
+	scalarCached, err := s.Store.scalar(ctx, w, &mcfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	boostCached, err := s.Store.measureMem(ctx, w, machine.MinBoost3(), core.Options{}, mcfg)
+	boostCached, err := s.Store.run(ctx, w, machine.MinBoost3(), core.Options{}, true, &mcfg)
 	if err != nil {
 		return 0, 0, err
 	}
 	return float64(scalarPerfect) / float64(boostPerfect),
-		float64(scalarCached.Cycles) / float64(boostCached.Cycles), nil
+		float64(scalarCached) / float64(boostCached.res.Cycles), nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"boosting/internal/core"
 	"boosting/internal/machine"
-	"boosting/internal/workloads"
 )
 
 // Figure9Row is one group of bars from Figure 9: speedups over the scalar
@@ -45,23 +44,23 @@ func (s *Suite) Figure9(ctx context.Context) ([]Figure9Row, float64, float64, er
 	var rows []Figure9Row
 	var mb3s, dyns []float64
 	for _, w := range s.Workloads {
-		scalar, err := s.scalarCycles(ctx, w)
+		scalar, err := s.ScalarCycles(ctx, w)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		mb3, err := s.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
+		mb3, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		mb3inf, err := s.measure(ctx, w, machine.MinBoost3(), core.Options{}, false)
+		mb3inf, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, false)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		dyn, err := s.dynCycles(ctx, w, false)
+		dyn, err := s.DynCycles(ctx, w, false)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		dynRen, err := s.dynCycles(ctx, w, true)
+		dynRen, err := s.DynCycles(ctx, w, true)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -77,14 +76,6 @@ func (s *Suite) Figure9(ctx context.Context) ([]Figure9Row, float64, float64, er
 		dyns = append(dyns, row.Dynamic)
 	}
 	return rows, GeoMean(mb3s), GeoMean(dyns), nil
-}
-
-// dynCycles measures the dynamically-scheduled machine on the
-// register-allocated test program (cached). The dynamic machine does its
-// own prediction with a BTB, so the static profile is irrelevant to it,
-// but the input program is the same one the static machines compile.
-func (s *Suite) dynCycles(ctx context.Context, w *workloads.Workload, renaming bool) (int64, error) {
-	return s.Store.dynMeasure(ctx, w, renaming, false)
 }
 
 // FormatFigure9 renders the figure's series.
@@ -118,12 +109,9 @@ func (s *Suite) ExceptionCostsReport(ctx context.Context) (*ExceptionCosts, erro
 	}
 	growths := make([]float64, len(s.Workloads))
 	if err := ForEachLimited(ctx, len(s.Workloads), s.Runner.workers(), func(ctx context.Context, i int) error {
-		g, err := s.Store.objectGrowth(ctx, s.Workloads[i], machine.MinBoost3(), core.Options{})
-		if err != nil {
-			return err
-		}
-		growths[i] = g
-		return nil
+		v, err := s.Store.run(ctx, s.Workloads[i], machine.MinBoost3(), core.Options{}, true, nil)
+		growths[i] = v.growth
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -175,11 +163,11 @@ func (s *Suite) Summary(ctx context.Context) (*SpeedupSummary, error) {
 	collect := func(model *machine.Model, opts core.Options) (float64, error) {
 		var vs []float64
 		for _, w := range s.Workloads {
-			scalar, err := s.scalarCycles(ctx, w)
+			scalar, err := s.ScalarCycles(ctx, w)
 			if err != nil {
 				return 0, err
 			}
-			c, err := s.measure(ctx, w, model, opts, true)
+			c, err := s.Store.measure(ctx, w, model, opts, true)
 			if err != nil {
 				return 0, err
 			}
@@ -208,11 +196,11 @@ func (s *Suite) Summary(ctx context.Context) (*SpeedupSummary, error) {
 	}
 	var dyn []float64
 	for _, w := range s.Workloads {
-		scalar, err := s.scalarCycles(ctx, w)
+		scalar, err := s.ScalarCycles(ctx, w)
 		if err != nil {
 			return nil, err
 		}
-		c, err := s.dynCycles(ctx, w, false)
+		c, err := s.DynCycles(ctx, w, false)
 		if err != nil {
 			return nil, err
 		}

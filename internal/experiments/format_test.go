@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"boosting/internal/sim"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -90,11 +88,11 @@ func TestSuiteCaching(t *testing.T) {
 	s := NewSuite()
 	ctx := context.Background()
 	w := s.Workloads[4] // grep
-	c1, err := s.scalarCycles(ctx, w)
+	c1, err := s.ScalarCycles(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.scalarCycles(ctx, w)
+	c2, err := s.ScalarCycles(ctx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +106,6 @@ func TestSuiteCaching(t *testing.T) {
 	if snap.CacheHits == 0 {
 		t.Error("repeated measurement did not hit the cache")
 	}
-}
-
-// TestVerifyHelper exercises the verification failure paths.
-func TestVerifyHelper(t *testing.T) {
-	ref := refResultForTest([]uint32{1, 2}, 42)
-	if err := verify(ref, []uint32{1, 2}, 42); err != nil {
-		t.Errorf("matching run rejected: %v", err)
-	}
-	if err := verify(ref, []uint32{1}, 42); err == nil {
-		t.Error("short output accepted")
-	}
-	if err := verify(ref, []uint32{1, 3}, 42); err == nil {
-		t.Error("wrong output accepted")
-	}
-	if err := verify(ref, []uint32{1, 2}, 43); err == nil {
-		t.Error("wrong memory accepted")
-	}
-}
-
-// refResultForTest builds a minimal reference result.
-func refResultForTest(out []uint32, memHash uint64) *sim.Result {
-	return &sim.Result{Out: out, MemHash: memHash}
 }
 
 func TestBarChart(t *testing.T) {

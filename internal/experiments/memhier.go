@@ -75,24 +75,34 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 	// Warm the store in parallel. The prefetcher axis only varies the
 	// execution-side memory hierarchy, so each (model, nobl, workload) cell
 	// schedules once and runs all prefetchers as lockstep batch lanes; the
-	// scalar baseline per workload batches the same way.
+	// pipeline measures the scalar baselines, one per hierarchy.
 	type job struct {
 		model *machine.Model
 		opts  core.Options
 	}
-	jobs := []job{{machine.Scalar(), core.Options{LocalOnly: true}}}
+	var jobs []job
 	for _, m := range models {
 		jobs = append(jobs, job{m, core.Options{}})
 		jobs = append(jobs, job{m, core.Options{NoBoostedLoads: true}})
 	}
-	mcfgs := make([]memhier.Config, len(memHierPrefetchers))
+	mcfgs := make([]*memhier.Config, len(memHierPrefetchers))
 	for i, pref := range memHierPrefetchers {
-		mcfgs[i] = AblationMemConfig(pref)
+		mcfg := AblationMemConfig(pref)
+		mcfgs[i] = &mcfg
 	}
 	nw := len(s.Workloads)
-	if err := ForEachLimited(ctx, len(jobs)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
-		j, w := jobs[i/nw], s.Workloads[i%nw]
-		_, err := s.Store.measureMemBatch(ctx, w, j.model, j.opts, mcfgs)
+	if err := ForEachLimited(ctx, (len(jobs)+1)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
+		w := s.Workloads[i%nw]
+		if i < nw {
+			for _, mcfg := range mcfgs {
+				if _, err := s.Store.scalar(ctx, w, mcfg); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		j := jobs[i/nw-1]
+		_, err := s.Store.runLanes(ctx, w, j.model, j.opts, true, mcfgs)
 		return err
 	}); err != nil {
 		return nil, err
@@ -102,23 +112,22 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 	for _, m := range models {
 		for _, boostLoads := range []bool{true, false} {
 			opts := core.Options{NoBoostedLoads: !boostLoads}
-			for _, pref := range memHierPrefetchers {
-				mcfg := AblationMemConfig(pref)
+			for k, pref := range memHierPrefetchers {
 				row := MemHierRow{Model: m.Name, BoostLoads: boostLoads, Prefetch: pref}
 				var speedups []float64
 				agg := memhier.Stats{}
 				var insts int64
 				for _, w := range s.Workloads {
-					scalar, err := s.Store.measureMem(ctx, w, machine.Scalar(),
-						core.Options{LocalOnly: true}, mcfg)
+					scalar, err := s.Store.scalar(ctx, w, mcfgs[k])
 					if err != nil {
 						return nil, err
 					}
-					res, err := s.Store.measureMem(ctx, w, m, opts, mcfg)
+					v, err := s.Store.run(ctx, w, m, opts, true, mcfgs[k])
 					if err != nil {
 						return nil, err
 					}
-					speedups = append(speedups, float64(scalar.Cycles)/float64(res.Cycles))
+					res := v.res
+					speedups = append(speedups, float64(scalar)/float64(res.Cycles))
 					agg.L1Misses += res.Mem.L1Misses
 					agg.Accesses += res.Mem.Accesses
 					agg.L2Hits += res.Mem.L2Hits

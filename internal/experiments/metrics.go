@@ -4,129 +4,27 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync/atomic"
-	"time"
-
-	"boosting/internal/core"
 )
 
-// Metrics aggregates per-stage counters for one Store. Every field is
-// updated atomically, so concurrent grid cells can record into the same
-// Metrics without coordination; read a consistent view with Snapshot.
-type Metrics struct {
-	builds  atomic.Int64 // workload builds (regalloc + profile transfer)
-	buildNS atomic.Int64
-
-	schedules  atomic.Int64 // core.Schedule invocations
-	scheduleNS atomic.Int64
-
-	// Scheduler stage breakdown, accumulated from core.ScheduleWithStats:
-	// where inside the schedule pass the compile time actually went.
-	traceSelectNS atomic.Int64
-	ddgBuildNS    atomic.Int64
-	listSchedNS   atomic.Int64
-	recoveryNS    atomic.Int64
-
-	sims      atomic.Int64 // machine-simulator runs
-	simNS     atomic.Int64
-	simCycles atomic.Int64 // total simulated machine cycles
-
-	refRuns atomic.Int64 // reference-interpreter runs
-	refNS   atomic.Int64
-
-	boosted  atomic.Int64 // speculative activity observed across all runs
-	squashed atomic.Int64
-}
-
-func (m *Metrics) recordBuild(d time.Duration) {
-	m.builds.Add(1)
-	m.buildNS.Add(int64(d))
-}
-
-// recordSchedule counts one schedule pass; st, when non-nil, attributes
-// the pass's time to the scheduler's internal stages.
-func (m *Metrics) recordSchedule(d time.Duration, st *core.Stats) {
-	m.schedules.Add(1)
-	m.scheduleNS.Add(int64(d))
-	if st != nil {
-		m.traceSelectNS.Add(int64(st.TraceSelectSeconds * float64(time.Second)))
-		m.ddgBuildNS.Add(int64(st.DDGBuildSeconds * float64(time.Second)))
-		m.listSchedNS.Add(int64(st.ListScheduleSeconds * float64(time.Second)))
-		m.recoveryNS.Add(int64(st.RecoveryEmitSeconds * float64(time.Second)))
-	}
-}
-
-func (m *Metrics) recordSim(d time.Duration, cycles, boosted, squashed int64) {
-	m.sims.Add(1)
-	m.simNS.Add(int64(d))
-	m.simCycles.Add(cycles)
-	m.boosted.Add(boosted)
-	m.squashed.Add(squashed)
-}
-
-func (m *Metrics) recordRef(d time.Duration) {
-	m.refRuns.Add(1)
-	m.refNS.Add(int64(d))
-}
-
-// Snapshot is a consistent copy of the counters, with the artifact-cache
-// hit/miss totals folded in. It marshals to JSON for machine consumption
-// (cmd/experiments -metrics-json).
+// Snapshot is a copy of a Suite's run counts, with the memo hit/miss
+// totals folded in. It marshals to JSON for machine consumption
+// (cmd/experiments -metrics-json). Wall times are not counted here:
+// perfbench's traced mode times each layer.
 type Snapshot struct {
 	// Builds counts workload compilations (build + register allocation +
-	// profile transfer). With the memoizing store this equals the number
-	// of unique (workload, regalloc-mode) pairs ever requested.
-	Builds    int64         `json:"builds"`
-	BuildTime time.Duration `json:"build_time_ns"`
-	Schedules int64         `json:"schedules"`
-	SchedTime time.Duration `json:"schedule_time_ns"`
-	// Scheduler stage breakdown of SchedTime (sub-spans of the schedule
-	// pass, not additional time).
-	TraceSelectTime time.Duration `json:"trace_select_time_ns"`
-	DDGBuildTime    time.Duration `json:"ddg_build_time_ns"`
-	ListSchedTime   time.Duration `json:"list_schedule_time_ns"`
-	RecoveryTime    time.Duration `json:"recovery_emit_time_ns"`
-	Simulations     int64         `json:"simulations"`
-	SimTime         time.Duration `json:"simulate_time_ns"`
-	SimCycles       int64         `json:"simulated_cycles"`
-	RefRuns         int64         `json:"reference_runs"`
-	RefTime         time.Duration `json:"reference_time_ns"`
-	BoostedExec     int64         `json:"boosted_executed"`
-	Squashed        int64         `json:"squashed"`
-	CacheHits       int64         `json:"cache_hits"`
-	CacheMisses     int64         `json:"cache_misses"`
+	// profile transfer + reference run). With memoization this equals the
+	// number of unique (workload, regalloc-mode) pairs ever requested.
+	Builds      int64 `json:"builds"`
+	Schedules   int64 `json:"schedules"`
+	Simulations int64 `json:"simulations"`
+	SimCycles   int64 `json:"simulated_cycles"`
+	BoostedExec int64 `json:"boosted_executed"`
+	Squashed    int64 `json:"squashed"`
+	CacheHits   int64 `json:"cache_hits"`
+	CacheMisses int64 `json:"cache_misses"`
 }
 
-func (m *Metrics) snapshot() Snapshot {
-	return Snapshot{
-		Builds:          m.builds.Load(),
-		BuildTime:       time.Duration(m.buildNS.Load()),
-		Schedules:       m.schedules.Load(),
-		SchedTime:       time.Duration(m.scheduleNS.Load()),
-		TraceSelectTime: time.Duration(m.traceSelectNS.Load()),
-		DDGBuildTime:    time.Duration(m.ddgBuildNS.Load()),
-		ListSchedTime:   time.Duration(m.listSchedNS.Load()),
-		RecoveryTime:    time.Duration(m.recoveryNS.Load()),
-		Simulations:     m.sims.Load(),
-		SimTime:         time.Duration(m.simNS.Load()),
-		SimCycles:       m.simCycles.Load(),
-		RefRuns:         m.refRuns.Load(),
-		RefTime:         time.Duration(m.refNS.Load()),
-		BoostedExec:     m.boosted.Load(),
-		Squashed:        m.squashed.Load(),
-	}
-}
-
-// CyclesPerSec is the aggregate simulation throughput: simulated machine
-// cycles per wall-clock second spent inside the simulators.
-func (s Snapshot) CyclesPerSec() float64 {
-	if s.SimTime <= 0 {
-		return 0
-	}
-	return float64(s.SimCycles) / s.SimTime.Seconds()
-}
-
-// HitRate is cache hits over total artifact lookups (1 when idle).
+// HitRate is cache hits over total memo lookups (1 when idle).
 func (s Snapshot) HitRate() float64 {
 	if s.CacheHits+s.CacheMisses == 0 {
 		return 1
@@ -137,27 +35,12 @@ func (s Snapshot) HitRate() float64 {
 // String renders the snapshot as a summary table.
 func (s Snapshot) String() string {
 	var b strings.Builder
-	row := func(stage string, n int64, d time.Duration) {
-		fmt.Fprintf(&b, "%-10s %8d runs %12s total", stage, n, d.Round(time.Microsecond))
-		if n > 0 {
-			fmt.Fprintf(&b, " %12s/run", (d / time.Duration(n)).Round(time.Microsecond))
-		}
-		b.WriteByte('\n')
-	}
-	row("build", s.Builds, s.BuildTime)
-	row("schedule", s.Schedules, s.SchedTime)
-	stage := func(name string, d time.Duration) {
-		fmt.Fprintf(&b, "  %-8s %21s total\n", name, d.Round(time.Microsecond))
-	}
-	stage("select", s.TraceSelectTime)
-	stage("ddg", s.DDGBuildTime)
-	stage("list", s.ListSchedTime)
-	stage("recovery", s.RecoveryTime)
-	row("simulate", s.Simulations, s.SimTime)
-	row("reference", s.RefRuns, s.RefTime)
-	fmt.Fprintf(&b, "%-10s %8d cycles (%.3g cycles/sec)\n", "simulated", s.SimCycles, s.CyclesPerSec())
-	fmt.Fprintf(&b, "%-10s %8d boosted, %d squashed\n", "speculation", s.BoostedExec, s.Squashed)
-	fmt.Fprintf(&b, "%-10s %8d hits, %d misses (%.1f%% hit rate)\n",
+	fmt.Fprintf(&b, "%-11s %9d runs\n", "build", s.Builds)
+	fmt.Fprintf(&b, "%-11s %9d runs\n", "schedule", s.Schedules)
+	fmt.Fprintf(&b, "%-11s %9d runs\n", "simulate", s.Simulations)
+	fmt.Fprintf(&b, "%-11s %9d cycles\n", "simulated", s.SimCycles)
+	fmt.Fprintf(&b, "%-11s %9d boosted, %d squashed\n", "speculation", s.BoostedExec, s.Squashed)
+	fmt.Fprintf(&b, "%-11s %9d hits, %d misses (%.1f%% hit rate)\n",
 		"cache", s.CacheHits, s.CacheMisses, 100*s.HitRate())
 	return b.String()
 }

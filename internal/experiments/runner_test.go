@@ -223,7 +223,7 @@ func TestCacheKeysIncludeAblations(t *testing.T) {
 	s := NewSuite()
 	ctx := context.Background()
 	w := s.Workloads[4] // grep
-	base, err := s.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
+	base, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCacheKeysIncludeAblations(t *testing.T) {
 	}
 	distinct := false
 	for _, v := range variants {
-		c, err := s.measure(ctx, w, machine.MinBoost3(), v.opts, true)
+		c, err := s.Store.measure(ctx, w, machine.MinBoost3(), v.opts, true)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -246,7 +246,7 @@ func TestCacheKeysIncludeAblations(t *testing.T) {
 			distinct = true
 		}
 		// Re-measuring the default must still return the default cycles.
-		again, err := s.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
+		again, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,10 +314,35 @@ func TestMetricsSnapshotFormat(t *testing.T) {
 			t.Errorf("metrics JSON missing %s:\n%s", want, js)
 		}
 	}
-	if snap.CyclesPerSec() <= 0 {
-		t.Errorf("cycles/sec = %f", snap.CyclesPerSec())
+	if snap.Simulations != 1 || snap.SimCycles <= 0 {
+		t.Errorf("one scalar baseline should be one simulation: %+v", snap)
 	}
 	if fmt.Sprintf("%.3f", Snapshot{}.HitRate()) != "1.000" {
 		t.Error("idle hit rate should be 1")
+	}
+}
+
+// TestSuiteKeepsNoSchedules: the Suite schedules a private clone for each
+// cell and keeps only the verified result, so after Table 2 on one kernel
+// its compiled program records no schedule variant. A machine schedule
+// holds a whole scheduled program; this is the deterministic form of
+// paper-eval's mem_mb bound.
+func TestSuiteKeepsNoSchedules(t *testing.T) {
+	ctx := context.Background()
+	s := NewSuite()
+	grep := s.Workloads[4]
+	s.Workloads = []*workloads.Workload{grep}
+	if _, _, err := s.Table2(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Metrics().Schedules; n != 5 {
+		t.Errorf("Table 2 ran %d schedule passes, want 5 (NoBoost plus four boosting models)", n)
+	}
+	c, err := s.Store.compile(ctx, grep, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.Artifact().Variants); n != 0 {
+		t.Errorf("the Suite's compiled grep records %d schedule variants, want 0", n)
 	}
 }

@@ -4,75 +4,108 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
+	"boosting"
 	"boosting/internal/cache"
 	"boosting/internal/core"
 	"boosting/internal/dynsched"
 	"boosting/internal/machine"
 	"boosting/internal/memhier"
 	"boosting/internal/profile"
-	"boosting/internal/prog"
 	"boosting/internal/regalloc"
 	"boosting/internal/sim"
 	"boosting/internal/unroll"
 	"boosting/internal/workloads"
 )
 
-// Store is the concurrency-safe artifact store behind the experiment
-// harness. Every expensive pipeline product — built train/test program
-// pairs, reference-interpreter runs, prediction accuracies, machine
-// schedules' measurements — is memoized with singleflight deduplication,
-// so grid cells running in parallel never rebuild the same artifact and
-// repeated table/figure generation reuses all shared work.
+// Store is the harness's memo of verified results over one
+// boosting.Pipeline. The pipeline builds every program, runs its
+// reference and R2000 baseline and verifies every run; the Store keeps
+// what each grid cell measured, with singleflight deduplication, so
+// parallel cells never repeat a measurement and repeated table/figure
+// generation reuses all shared work.
 //
-// Keying scheme (see docs/PIPELINE.md): artifacts are keyed by the full
-// identity of everything that can change their value — workload name plus
-// train/test inputs, register-allocation mode, machine-model name, and
-// every scheduler ablation flag (LocalOnly, DisableEquivalence,
-// NoDisambiguation, MaxTraceBlocks). Machine-model names are assumed to
+// The Store keeps no schedules. Pipeline.Simulate records every schedule
+// on the shared compiled program, which artifacts need, but a machine
+// schedule holds a whole scheduled program: the Store schedules a private
+// clone for each cell and keeps only the verified result.
+//
+// Keying scheme (see docs/PIPELINE.md): results are keyed by everything
+// that can change them — workload name plus train/test inputs,
+// register-allocation mode, machine-model name, every scheduler ablation
+// flag and the memory hierarchy. Machine-model names are assumed to
 // identify their configuration, as they do for every model constructor in
 // internal/machine.
-//
-// Programs returned by pair are canonical master copies: they are shared
-// between callers and must never be mutated. The scheduler mutates its
-// input, so every schedule runs on a prog.Clone of the master (verified
-// to produce bit-identical schedules to a fresh build).
 type Store struct {
-	pairs  *cache.Memo[*prog.Program]
-	refs   *cache.Memo[*sim.Result]
-	acc    *cache.Memo[float64]
-	cycles *cache.Memo[int64]
-	execs  *cache.Memo[*sim.ExecResult]
-	growth *cache.Memo[float64]
+	pipe *boosting.Pipeline
+	// results holds static cells; cycles holds the dynamic, prescheduled
+	// and unrolled runs.
+	results *cache.Memo[verified]
+	cycles  *cache.Memo[int64]
 
-	metrics Metrics
+	// own counts the builds, schedules and simulations the Store runs
+	// itself, outside the pipeline.
+	mu  sync.Mutex
+	own boosting.Counts
 }
 
-// NewStore returns an empty artifact store.
+// verified is one static cell's verified run: the simulator's counters
+// (its output stream dropped once checked) and the object growth of the
+// schedule that ran.
+type verified struct {
+	res    *sim.ExecResult
+	growth float64
+}
+
+// NewStore returns an empty store over a fresh pipeline.
 func NewStore() *Store {
 	return &Store{
-		pairs:  cache.NewMemo[*prog.Program](),
-		refs:   cache.NewMemo[*sim.Result](),
-		acc:    cache.NewMemo[float64](),
-		cycles: cache.NewMemo[int64](),
-		execs:  cache.NewMemo[*sim.ExecResult](),
-		growth: cache.NewMemo[float64](),
+		pipe:    boosting.NewPipeline(),
+		results: cache.NewMemo[verified](),
+		cycles:  cache.NewMemo[int64](),
 	}
 }
 
-// Metrics returns a snapshot of the per-stage counters with the artifact
-// cache hit/miss totals folded in.
+// Metrics returns the pipeline's and the Store's run counts, with the
+// memo hit/miss totals folded in.
 func (st *Store) Metrics() Snapshot {
-	s := st.metrics.snapshot()
-	for _, m := range []interface{ Stats() (int64, int64) }{
-		st.pairs, st.refs, st.acc, st.cycles, st.execs, st.growth,
-	} {
+	pc := st.pipe.Counts()
+	st.mu.Lock()
+	own := st.own
+	st.mu.Unlock()
+	s := Snapshot{
+		Builds:      pc.Builds + own.Builds,
+		Schedules:   pc.Schedules + own.Schedules,
+		Simulations: pc.Simulations + own.Simulations,
+		SimCycles:   pc.SimCycles + own.SimCycles,
+		BoostedExec: pc.BoostedExec + own.BoostedExec,
+		Squashed:    pc.Squashed + own.Squashed,
+	}
+	s.CacheHits, s.CacheMisses = st.pipe.CacheStats()
+	for _, m := range []interface{ Stats() (int64, int64) }{st.results, st.cycles} {
 		h, miss := m.Stats()
 		s.CacheHits += h
 		s.CacheMisses += miss
 	}
 	return s
+}
+
+// count records builds and schedules the Store ran itself.
+func (st *Store) count(builds, schedules int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.own.Builds += builds
+	st.own.Schedules += schedules
+}
+
+// countRun records a machine run the Store made itself.
+func (st *Store) countRun(cycles, boosted, squashed int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.own.Simulations++
+	st.own.SimCycles += cycles
+	st.own.BoostedExec += boosted
+	st.own.Squashed += squashed
 }
 
 // wkey identifies a workload by name and by its train/test inputs, so
@@ -90,283 +123,172 @@ func okey(opts core.Options) string {
 		opts.NoBoostedLoads, opts.MaxTraceBlocks)
 }
 
-// pair returns the memoized built test program for the workload: train
-// and test built, optionally register-allocated, predictions transferred
-// from the training profile. The returned program is shared — clone
-// before mutating.
-func (st *Store) pair(ctx context.Context, w *workloads.Workload, alloc bool) (*prog.Program, error) {
-	key := fmt.Sprintf("pair|%s|alloc=%v", wkey(w), alloc)
-	return st.pairs.Do(ctx, key, func() (*prog.Program, error) {
-		start := time.Now()
-		train := w.BuildTrain()
-		test := w.BuildTest()
-		if alloc {
-			if _, err := regalloc.Allocate(train); err != nil {
-				return nil, fmt.Errorf("%s: regalloc train: %w", w.Name, err)
-			}
-			if _, err := regalloc.Allocate(test); err != nil {
-				return nil, fmt.Errorf("%s: regalloc test: %w", w.Name, err)
-			}
-		}
-		if err := profile.Annotate(train); err != nil {
-			return nil, fmt.Errorf("%s: profile: %w", w.Name, err)
-		}
-		if err := profile.Transfer(train, test); err != nil {
-			return nil, fmt.Errorf("%s: transfer: %w", w.Name, err)
-		}
-		st.metrics.recordBuild(time.Since(start))
-		return test, nil
-	})
+// compile returns the pipeline's compiled program for the workload.
+func (st *Store) compile(ctx context.Context, w *workloads.Workload, alloc bool) (*boosting.Compiled, error) {
+	if alloc {
+		return st.pipe.CompileWorkload(ctx, w)
+	}
+	return st.pipe.CompileWorkload(ctx, w, boosting.WithInfiniteRegisters())
 }
 
-// checkout returns a private, mutation-safe clone of the built pair.
-func (st *Store) checkout(ctx context.Context, w *workloads.Workload, alloc bool) (*prog.Program, error) {
-	master, err := st.pair(ctx, w, alloc)
-	if err != nil {
-		return nil, err
-	}
-	return prog.Clone(master), nil
+// isScalar reports whether a static cell is the R2000 baseline, which the
+// pipeline measures (and memoizes) itself.
+func isScalar(model *machine.Model, opts core.Options, alloc bool) bool {
+	return model.Name == machine.Scalar().Name && opts == (core.Options{LocalOnly: true}) && alloc
 }
 
-// reference returns (cached) reference-interpreter results for the test
-// input.
-func (st *Store) reference(ctx context.Context, w *workloads.Workload, alloc bool) (*sim.Result, error) {
-	key := fmt.Sprintf("ref|%s|alloc=%v", wkey(w), alloc)
-	return st.refs.Do(ctx, key, func() (*sim.Result, error) {
-		test, err := st.pair(ctx, w, alloc)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		r, err := sim.Run(test, sim.RefConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("%s: reference: %w", w.Name, err)
-		}
-		st.metrics.recordRef(time.Since(start))
-		return r, nil
-	})
+// scalar returns the workload's R2000 baseline under the memory
+// hierarchy (nil = perfect memory).
+func (st *Store) scalar(ctx context.Context, w *workloads.Workload, mem *memhier.Config) (int64, error) {
+	c, err := st.compile(ctx, w, true)
+	if err != nil {
+		return 0, err
+	}
+	if mem == nil {
+		return st.pipe.ScalarCycles(ctx, c)
+	}
+	return st.pipe.ScalarCycles(ctx, c, boosting.WithMemHier(*mem))
 }
 
-// accuracy measures the static predictor on the test input (cached).
-func (st *Store) accuracyOf(ctx context.Context, w *workloads.Workload) (float64, error) {
-	key := "acc|" + wkey(w)
-	return st.acc.Do(ctx, key, func() (float64, error) {
-		test, err := st.pair(ctx, w, true)
-		if err != nil {
-			return 0, err
-		}
-		return profile.Accuracy(test)
-	})
-}
-
-// scheduleAndExec clones the built pair, schedules it for the model and
-// executes it on the machine simulator, verifying against the reference
-// run before returning. mem, when non-nil, plugs a finite memory
-// hierarchy into the timing model.
-func (st *Store) scheduleAndExec(ctx context.Context, w *workloads.Workload, model *machine.Model,
-	opts core.Options, alloc bool, mem *memhier.Config) (*sim.ExecResult, error) {
-	ref, err := st.reference(ctx, w, alloc)
-	if err != nil {
-		return nil, err
-	}
-	test, err := st.checkout(ctx, w, alloc)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	sp, cst, err := core.ScheduleWithStats(test, model, opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s on %s: %w", w.Name, model.Name, err)
-	}
-	st.metrics.recordSchedule(time.Since(start), cst)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cfg := sim.ExecConfig{Mem: mem}
-	start = time.Now()
-	res, err := sim.Exec(sp, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("%s on %s: exec: %w", w.Name, model.Name, err)
-	}
-	st.metrics.recordSim(time.Since(start), res.Cycles, res.BoostedExec, res.Squashed)
-	if err := verify(ref, res.Out, res.MemHash); err != nil {
-		return nil, fmt.Errorf("%s on %s: %w", w.Name, model.Name, err)
-	}
-	return res, nil
-}
-
-// measure compiles the workload for the model/options and returns
-// verified cycle counts (cached under the full ablation key).
+// measure returns a static cell's verified cycle count with perfect
+// memory.
 func (st *Store) measure(ctx context.Context, w *workloads.Workload, model *machine.Model,
 	opts core.Options, alloc bool) (int64, error) {
-	key := fmt.Sprintf("cyc|%s|model=%s|%s|alloc=%v", wkey(w), model.Name, okey(opts), alloc)
-	return st.cycles.Do(ctx, key, func() (int64, error) {
-		res, err := st.scheduleAndExec(ctx, w, model, opts, alloc, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res.Cycles, nil
-	})
-}
-
-// measureMem is measure with a finite memory hierarchy in the timing
-// model; it returns the full execution result so callers can read miss
-// rates, prefetch counters and squashed-stall accounting. The returned
-// result is shared — callers must not mutate it.
-func (st *Store) measureMem(ctx context.Context, w *workloads.Workload, model *machine.Model,
-	opts core.Options, mcfg memhier.Config) (*sim.ExecResult, error) {
-	key := fmt.Sprintf("mem|%s|model=%s|%s|alloc=true|mem=%s",
-		wkey(w), model.Name, okey(opts), mcfg.Key())
-	return st.execs.Do(ctx, key, func() (*sim.ExecResult, error) {
-		return st.scheduleAndExec(ctx, w, model, opts, true, &mcfg)
-	})
-}
-
-// measureMemBatch measures one (workload, model, options) schedule under
-// several memory hierarchies in a single lockstep pass: the program is
-// scheduled and predecoded once and every hierarchy runs as one
-// sim.ExecBatch lane. Each lane's verified result enters the memo under
-// the same key measureMem uses, so mixed batch/solo access patterns share
-// one measurement. The returned results are shared — do not mutate.
-func (st *Store) measureMemBatch(ctx context.Context, w *workloads.Workload, model *machine.Model,
-	opts core.Options, mcfgs []memhier.Config) ([]*sim.ExecResult, error) {
-	keys := make([]string, len(mcfgs))
-	for i, mcfg := range mcfgs {
-		keys[i] = fmt.Sprintf("mem|%s|model=%s|%s|alloc=true|mem=%s",
-			wkey(w), model.Name, okey(opts), mcfg.Key())
+	if isScalar(model, opts, alloc) {
+		return st.scalar(ctx, w, nil)
 	}
-	// The batch body runs at most once, on the first memo miss; lanes whose
-	// keys are already cached are answered from the memo without executing.
+	v, err := st.run(ctx, w, model, opts, alloc, nil)
+	if err != nil {
+		return 0, err
+	}
+	return v.res.Cycles, nil
+}
+
+// run returns a static cell's verified run under the memory hierarchy
+// (nil = perfect memory).
+func (st *Store) run(ctx context.Context, w *workloads.Workload, model *machine.Model,
+	opts core.Options, alloc bool, mem *memhier.Config) (verified, error) {
+	vs, err := st.runLanes(ctx, w, model, opts, alloc, []*memhier.Config{mem})
+	if err != nil {
+		return verified{}, err
+	}
+	return vs[0], nil
+}
+
+// runLanes runs one static cell under several memory hierarchies in a
+// single lockstep pass: a private clone is scheduled and predecoded once
+// and every hierarchy runs as one sim.ExecBatch lane. Each lane's
+// verified result enters the memo under the key a solo run of it uses.
+func (st *Store) runLanes(ctx context.Context, w *workloads.Workload, model *machine.Model,
+	opts core.Options, alloc bool, mems []*memhier.Config) ([]verified, error) {
+	// The batch body runs at most once, on the first memo miss; lanes
+	// whose keys are already cached are answered from the memo without
+	// executing.
 	var (
-		once     sync.Once
-		batch    []*sim.ExecResult
-		batchErr []error
+		once  sync.Once
+		batch []verified
+		errs  []error
 	)
 	run := func() {
-		batchErr = make([]error, len(mcfgs))
-		ref, err := st.reference(ctx, w, true)
-		if err == nil && ctx.Err() != nil {
-			err = ctx.Err()
-		}
-		var sp *machine.SchedProgram
-		if err == nil {
-			var test *prog.Program
-			if test, err = st.checkout(ctx, w, true); err == nil {
-				start := time.Now()
-				var cst *core.Stats
-				sp, cst, err = core.ScheduleWithStats(test, model, opts)
-				if err != nil {
-					err = fmt.Errorf("%s on %s: %w", w.Name, model.Name, err)
-				} else {
-					st.metrics.recordSchedule(time.Since(start), cst)
-				}
-			}
-		}
+		batch, errs = make([]verified, len(mems)), make([]error, len(mems))
+		sp, c, err := st.schedulePrivate(ctx, w, model, opts, alloc)
 		if err != nil {
-			for i := range batchErr {
-				batchErr[i] = err
+			for i := range errs {
+				errs[i] = err
 			}
 			return
 		}
-		cfgs := make([]sim.ExecConfig, len(mcfgs))
-		for i := range mcfgs {
-			cfgs[i] = sim.ExecConfig{Mem: &mcfgs[i]}
+		cfgs := make([]sim.ExecConfig, len(mems))
+		for i, mem := range mems {
+			cfgs[i] = sim.ExecConfig{Mem: mem}
 		}
-		start := time.Now()
-		results, errs := sim.ExecBatch(sp, cfgs)
-		// The lanes ran together: each is charged an equal share of the
-		// batch's wall time, not all of it.
-		share := time.Since(start) / time.Duration(len(results))
-		batch = results
+		results, execErrs := sim.ExecBatch(sp, cfgs)
 		for i, res := range results {
-			if errs[i] != nil {
-				batchErr[i] = fmt.Errorf("%s on %s: exec: %w", w.Name, model.Name, errs[i])
+			if execErrs[i] != nil {
+				errs[i] = fmt.Errorf("%s on %s: exec: %w", w.Name, model.Name, execErrs[i])
 				continue
 			}
-			st.metrics.recordSim(share, res.Cycles, res.BoostedExec, res.Squashed)
-			if verr := verify(ref, res.Out, res.MemHash); verr != nil {
-				batchErr[i] = fmt.Errorf("%s on %s: %w", w.Name, model.Name, verr)
+			st.countRun(res.Cycles, res.BoostedExec, res.Squashed)
+			if err := c.Verify(res.Out, res.MemHash); err != nil {
+				errs[i] = fmt.Errorf("%s on %s: %w", w.Name, model.Name, err)
+				continue
 			}
+			res.Out = nil
+			batch[i] = verified{res: res, growth: sp.ObjectGrowth()}
 		}
 	}
-	out := make([]*sim.ExecResult, len(mcfgs))
-	for i := range mcfgs {
-		i := i
-		res, err := st.execs.Do(ctx, keys[i], func() (*sim.ExecResult, error) {
+	out := make([]verified, len(mems))
+	for i, mem := range mems {
+		key := fmt.Sprintf("run|%s|model=%s|%s|alloc=%v", wkey(w), model.Name, okey(opts), alloc)
+		if mem != nil {
+			key += "|mem=" + mem.Key()
+		}
+		v, err := st.results.Do(ctx, key, func() (verified, error) {
 			once.Do(run)
-			if batchErr[i] != nil {
-				return nil, batchErr[i]
-			}
-			return batch[i], nil
+			return batch[i], errs[i]
 		})
 		if err != nil {
 			return nil, err
 		}
-		out[i] = res
+		out[i] = v
 	}
 	return out, nil
 }
 
-// objectGrowth returns the scheduled-size-over-original ratio for the
-// workload under the model (cached).
-func (st *Store) objectGrowth(ctx context.Context, w *workloads.Workload, model *machine.Model,
-	opts core.Options) (float64, error) {
-	key := fmt.Sprintf("growth|%s|model=%s|%s", wkey(w), model.Name, okey(opts))
-	return st.growth.Do(ctx, key, func() (float64, error) {
-		test, err := st.checkout(ctx, w, true)
-		if err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		sp, cst, err := core.ScheduleWithStats(test, model, opts)
-		if err != nil {
-			return 0, err
-		}
-		st.metrics.recordSchedule(time.Since(start), cst)
-		return sp.ObjectGrowth(), nil
-	})
+// schedulePrivate schedules a private clone of the workload's compiled
+// program for the model, recording nothing on the shared compile.
+func (st *Store) schedulePrivate(ctx context.Context, w *workloads.Workload, model *machine.Model,
+	opts core.Options, alloc bool) (*machine.SchedProgram, *boosting.Compiled, error) {
+	c, err := st.compile(ctx, w, alloc)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	sp, err := core.Schedule(c.Program(), model, opts)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s on %s: %w", w.Name, model.Name, err)
+	}
+	st.count(0, 1)
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return sp, c, nil
 }
 
-// dynMeasure runs the dynamically-scheduled machine on the (cloned)
-// register-allocated test program, optionally prescheduled by the NoBoost
-// global scheduler first (the §4.3.2 experiment).
+// dynMeasure runs the dynamically-scheduled machine on the register-
+// allocated test program (cached), optionally prescheduled by the
+// NoBoost global scheduler first (the §4.3.2 experiment).
 func (st *Store) dynMeasure(ctx context.Context, w *workloads.Workload, renaming, presched bool) (int64, error) {
 	key := fmt.Sprintf("dyn|%s|ren=%v|presched=%v", wkey(w), renaming, presched)
 	return st.cycles.Do(ctx, key, func() (int64, error) {
-		test, err := st.checkout(ctx, w, true)
-		if err != nil {
-			return 0, err
-		}
-		if presched {
-			// Global scheduling without boosting rewrites every block's
-			// instruction list into schedule order and adds compensation
-			// blocks; the result is an ordinary sequential program.
-			start := time.Now()
-			_, cst, err := core.ScheduleWithStats(test, machine.NoBoost(), core.Options{})
+		if !presched {
+			c, err := st.compile(ctx, w, true)
 			if err != nil {
 				return 0, err
 			}
-			st.metrics.recordSchedule(time.Since(start), cst)
+			res, err := st.pipe.SimulateDynamic(ctx, c, renaming)
+			if err != nil {
+				return 0, err
+			}
+			return res.Cycles, nil
 		}
-		if err := ctx.Err(); err != nil {
+		// Global scheduling without boosting rewrites every block's
+		// instruction list into schedule order and adds compensation
+		// blocks; the result is an ordinary sequential program.
+		sp, c, err := st.schedulePrivate(ctx, w, machine.NoBoost(), core.Options{}, true)
+		if err != nil {
 			return 0, err
 		}
 		cfg := dynsched.Default()
 		cfg.Renaming = renaming
-		start := time.Now()
-		res, err := dynsched.Simulate(test, cfg)
+		res, err := dynsched.Simulate(sp.Prog, cfg)
 		if err != nil {
 			return 0, err
 		}
-		st.metrics.recordSim(time.Since(start), res.Cycles, 0, 0)
-		ref, err := st.reference(ctx, w, true)
-		if err != nil {
-			return 0, err
-		}
-		if err := verify(ref, res.Out, res.MemHash); err != nil {
+		st.countRun(res.Cycles, 0, 0)
+		if err := c.Verify(res.Out, res.MemHash); err != nil {
 			return 0, fmt.Errorf("%s dynamic: %w", w.Name, err)
 		}
 		return res.Cycles, nil
@@ -374,11 +296,16 @@ func (st *Store) dynMeasure(ctx context.Context, w *workloads.Workload, renaming
 }
 
 // unrolled measures MinBoost3 on the workload with its innermost loops
-// unrolled ×2 before the standard pipeline (cached).
+// unrolled ×2 before the standard pipeline (cached), verified against
+// the original program's reference run. It builds the program itself:
+// unroll.Program can fail, and a workload's Build function cannot.
 func (st *Store) unrolled(ctx context.Context, w *workloads.Workload) (int64, error) {
 	key := "unroll|" + wkey(w)
 	return st.cycles.Do(ctx, key, func() (int64, error) {
-		start := time.Now()
+		c, err := st.compile(ctx, w, true)
+		if err != nil {
+			return 0, err
+		}
 		train := w.BuildTrain()
 		test := w.BuildTest()
 		if _, err := unroll.Program(train, unroll.Options{}); err != nil {
@@ -399,27 +326,21 @@ func (st *Store) unrolled(ctx context.Context, w *workloads.Workload) (int64, er
 		if err := profile.Transfer(train, test); err != nil {
 			return 0, err
 		}
-		st.metrics.recordBuild(time.Since(start))
+		st.count(1, 0)
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		start = time.Now()
-		sp, cst, err := core.ScheduleWithStats(test, machine.MinBoost3(), core.Options{})
+		sp, err := core.Schedule(test, machine.MinBoost3(), core.Options{})
 		if err != nil {
 			return 0, err
 		}
-		st.metrics.recordSchedule(time.Since(start), cst)
-		start = time.Now()
+		st.count(0, 1)
 		res, err := sim.Exec(sp, sim.ExecConfig{})
 		if err != nil {
 			return 0, err
 		}
-		st.metrics.recordSim(time.Since(start), res.Cycles, res.BoostedExec, res.Squashed)
-		ref, err := st.reference(ctx, w, true)
-		if err != nil {
-			return 0, err
-		}
-		if err := verify(ref, res.Out, res.MemHash); err != nil {
+		st.countRun(res.Cycles, res.BoostedExec, res.Squashed)
+		if err := c.Verify(res.Out, res.MemHash); err != nil {
 			return 0, fmt.Errorf("%s unrolled: %w", w.Name, err)
 		}
 		return res.Cycles, nil

@@ -7,7 +7,6 @@ import (
 
 	"boosting/internal/core"
 	"boosting/internal/machine"
-	"boosting/internal/workloads"
 )
 
 // Table1Row is one row of the paper's Table 1: "Benchmark programs and
@@ -33,45 +32,25 @@ func (s *Suite) Table1(ctx context.Context) ([]Table1Row, error) {
 	if err := s.prefetch(ctx, cells); err != nil {
 		return nil, err
 	}
-	// Warm the reference runs and accuracies concurrently too.
-	if err := ForEachLimited(ctx, len(s.Workloads), s.Runner.workers(), func(ctx context.Context, i int) error {
-		if _, err := s.reference(ctx, s.Workloads[i], true); err != nil {
-			return err
-		}
-		_, err := s.predictionAccuracy(ctx, s.Workloads[i])
-		return err
-	}); err != nil {
-		return nil, err
-	}
 
 	var rows []Table1Row
 	for _, w := range s.Workloads {
-		cycles, err := s.scalarCycles(ctx, w)
+		cycles, err := s.ScalarCycles(ctx, w)
 		if err != nil {
 			return nil, err
 		}
-		ref, err := s.reference(ctx, w, true)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := s.predictionAccuracy(ctx, w)
+		c, err := s.Store.compile(ctx, w, true)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Table1Row{
 			Name:     w.Name,
 			Cycles:   cycles,
-			IPC:      float64(ref.Insts) / float64(cycles),
-			Accuracy: acc,
+			IPC:      float64(c.ReferenceInsts()) / float64(cycles),
+			Accuracy: c.PredictionAccuracy(),
 		})
 	}
 	return rows, nil
-}
-
-// predictionAccuracy measures the static predictor on the test input
-// (cached).
-func (s *Suite) predictionAccuracy(ctx context.Context, w *workloads.Workload) (float64, error) {
-	return s.Store.accuracyOf(ctx, w)
 }
 
 // FormatTable1 renders the rows like the paper's table.
@@ -117,19 +96,19 @@ func (s *Suite) Figure8(ctx context.Context) ([]Figure8Row, float64, float64, er
 	var rows []Figure8Row
 	var bbs, gls []float64
 	for _, w := range s.Workloads {
-		scalar, err := s.scalarCycles(ctx, w)
+		scalar, err := s.ScalarCycles(ctx, w)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		bb, err := s.measure(ctx, w, machine.NoBoost(), core.Options{LocalOnly: true}, true)
+		bb, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{LocalOnly: true}, true)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		gl, err := s.measure(ctx, w, machine.NoBoost(), core.Options{}, true)
+		gl, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{}, true)
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		inf, err := s.measure(ctx, w, machine.NoBoost(), core.Options{}, false)
+		inf, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{}, false)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -190,13 +169,13 @@ func (s *Suite) Table2(ctx context.Context) ([]Table2Row, map[string]float64, er
 	ratios := map[string][]float64{}
 	var rows []Table2Row
 	for _, w := range s.Workloads {
-		base, err := s.measure(ctx, w, machine.NoBoost(), core.Options{}, true)
+		base, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{}, true)
 		if err != nil {
 			return nil, nil, err
 		}
 		row := Table2Row{Name: w.Name, Improvement: map[string]float64{}}
 		for _, name := range Table2Models {
-			c, err := s.measure(ctx, w, models[name], core.Options{}, true)
+			c, err := s.Store.measure(ctx, w, models[name], core.Options{}, true)
 			if err != nil {
 				return nil, nil, err
 			}

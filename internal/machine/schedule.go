@@ -113,6 +113,16 @@ func (s *SchedProgram) ObjectGrowth() float64 {
 	return float64(s.NumInsts()) / float64(orig)
 }
 
+// Format renders every procedure's schedule (SchedProc.Format) in
+// program order: the listing boostcc, boostd and ScheduleListing print.
+func (s *SchedProgram) Format() string {
+	var sb strings.Builder
+	for _, name := range s.Prog.Order {
+		sb.WriteString(s.Procs[name].Format())
+	}
+	return sb.String()
+}
+
 // Format renders a procedure schedule for inspection: one line per cycle,
 // slots separated by " | ".
 func (sp *SchedProc) Format() string {

@@ -8,9 +8,10 @@
 // recovery, analysis-cache activity) from core.ScheduleWithStats.
 //
 // The manager imposes no fixed pass list: callers sequence passes to
-// match their flow (the assembly service interleaves a bounded reference
-// run between regalloc and profiling; the workload pipeline does not),
-// and every pass lands in the same stats schema. With VerifyEach set,
+// match their flow (boosting.Pipeline's CompileAsm interleaves a bounded
+// reference run between regalloc and profiling; its workload compile
+// runs the reference last), and every pass lands in the same stats
+// schema. With VerifyEach set,
 // the prog verifier runs after every pass, turning a pass that corrupts
 // the CFG into an immediate, named failure instead of a downstream
 // mystery.

@@ -83,20 +83,51 @@ func Transfer(train, test *prog.Program) error {
 // measures the static predictor: the fraction of executed conditional
 // branches whose outcome matched their prediction bit.
 func Accuracy(pr *prog.Program) (float64, error) {
-	var total, correct int64
-	_, err := sim.Run(pr, sim.RefConfig{
-		OnBranch: func(_ *prog.Proc, b *prog.Block, taken bool) {
-			total++
-			if t := b.Terminator(); t != nil && t.Pred == taken {
-				correct++
-			}
-		},
-	})
+	var hits Hits
+	ref, err := sim.Run(pr, sim.RefConfig{OnBranch: hits.OnBranch})
 	if err != nil {
 		return 0, err
 	}
-	if total == 0 {
-		return 1, nil
+	return hits.Accuracy(ref.Branches), nil
+}
+
+// Hits counts the conditional branches of one reference run whose
+// outcome matched their prediction bit. Install OnBranch as the run's
+// sim.RefConfig.OnBranch, so a run made for another reason (the
+// pipeline's reference run) measures the predictor too.
+type Hits int64
+
+// OnBranch is the sim.RefConfig.OnBranch hook.
+func (h *Hits) OnBranch(_ *prog.Proc, b *prog.Block, taken bool) {
+	if t := b.Terminator(); t != nil && t.Pred == taken {
+		*h++
 	}
-	return float64(correct) / float64(total), nil
+}
+
+// Accuracy is the hit count over the run's executed conditional branches
+// (1 when none executed).
+func (h Hits) Accuracy(branches int64) float64 {
+	if branches == 0 {
+		return 1
+	}
+	return float64(h) / float64(branches)
+}
+
+// SelfAccuracy reads the static predictor's accuracy straight out of the
+// counts Annotate left on the program, without running it: a profile
+// trained on the input it predicts predicts each branch's majority
+// direction, so the majority count is the correct count.
+func SelfAccuracy(pr *prog.Program) float64 {
+	var total, correct int64
+	for _, p := range pr.ProcList() {
+		for _, b := range p.Blocks {
+			t := b.Terminator()
+			if t == nil || !isa.IsCondBranch(t.Op) {
+				continue
+			}
+			total += b.Count
+			correct += max(b.TakenCount, b.Count-b.TakenCount)
+		}
+	}
+	return Hits(correct).Accuracy(total)
 }

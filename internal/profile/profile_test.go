@@ -82,6 +82,24 @@ func TestAccuracyPerfectOnSameInput(t *testing.T) {
 	}
 }
 
+// TestSelfAccuracyMatchesRun: on a self-trained profile, the accuracy
+// read from the counts equals the accuracy a run measures, ties included.
+func TestSelfAccuracyMatchesRun(t *testing.T) {
+	for _, n := range []int32{1, 2, 10, 100} {
+		pr := buildBiased(n)
+		if err := Annotate(pr); err != nil {
+			t.Fatal(err)
+		}
+		acc, err := Accuracy(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if self := SelfAccuracy(pr); self != acc {
+			t.Errorf("n=%d: SelfAccuracy %f, run measured %f", n, self, acc)
+		}
+	}
+}
+
 func TestTransferCopiesPredictions(t *testing.T) {
 	train := buildBiased(10)
 	test := buildBiased(3)

@@ -5,20 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"boosting"
-	"boosting/internal/core"
-	"boosting/internal/dynsched"
 	"boosting/internal/experiments"
-	"boosting/internal/isa"
 	"boosting/internal/machine"
-	"boosting/internal/memhier"
-	"boosting/internal/passes"
-	"boosting/internal/profile"
-	"boosting/internal/prog"
-	"boosting/internal/regalloc"
-	"boosting/internal/sim"
 )
 
 // The compute functions below return (HTTP status, response value).
@@ -30,117 +20,74 @@ import (
 
 // compile schedules an assembly program for a machine model and returns
 // the machine-schedule listing plus schedule statistics and the per-pass
-// compile report. The stages mirror prepareAsm, but run as named passes
-// so the response (and the boostd_compile_pass_seconds metric) can
-// attribute compile time to each of them.
+// compile report, so the response (and the boostd_compile_pass_seconds
+// metric) can attribute compile time to each stage.
 func (s *Server) compile(ctx context.Context, req CompileRequest) (int, any) {
 	model, _ := boosting.ModelByName(req.Model)
-	pm := passes.NewManager()
-	var (
-		pr       *prog.Program
-		stageErr error
-	)
-	// run times fn as a named pass; stageErr keeps the raw error so the
-	// response message stays "stage: cause" rather than the manager's
-	// wrapped form.
-	run := func(name string, fn func() error) bool {
-		_ = pm.Run(name, func() error {
-			stageErr = fn()
-			return stageErr
-		})
-		return stageErr == nil
-	}
-
-	if !run("parse", func() error {
-		var err error
-		pr, err = prog.Parse(req.Asm)
-		return err
-	}) {
-		return http.StatusBadRequest, errorResponse{fmt.Sprintf("parse: %v", stageErr)}
-	}
-	if !req.Options.InfiniteRegisters {
-		if !run("regalloc", func() error {
-			_, err := regalloc.Allocate(pr)
-			return err
-		}) {
-			return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("regalloc: %v", stageErr)}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil
-	}
-	// The bounded reference run proves the program halts before
-	// profile.Annotate re-runs it without a step limit.
-	if !run("reference-run", func() error {
-		_, err := sim.Run(pr, sim.RefConfig{MaxSteps: s.cfg.MaxRefSteps})
-		return err
-	}) {
-		return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("reference run: %v", stageErr)}
-	}
-	if !run("profile", func() error { return profile.Annotate(pr) }) {
-		return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("profile: %v", stageErr)}
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil
-	}
-	sp, err := pm.Schedule(pr, model, req.Options.coreOptions())
-	if err != nil {
-		return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("schedule: %v", err)}
-	}
-	s.metrics.recordCompilePasses(pm.Stats())
-	var sb strings.Builder
-	for _, name := range pr.Order {
-		sb.WriteString(sp.Procs[name].Format())
-	}
-	return http.StatusOK, CompileResponse{
-		SchemaVersion: SchemaVersion,
-		Model:         model.Name,
-		Listing:       sb.String(),
-		Insts:         sp.NumInsts(),
-		Procs:         len(sp.Procs),
-		ObjectGrowth:  sp.ObjectGrowth(),
-		PassStats:     pm.Stats(),
-	}
-}
-
-// simulate compiles and executes a workload or assembly program and
-// reports verified cycle counts and speculation statistics.
-func (s *Server) simulate(ctx context.Context, req SimulateRequest) (int, any) {
-	if req.Workload != "" {
-		return s.simulateWorkload(ctx, req)
-	}
-	return s.simulateAsm(ctx, req)
-}
-
-// simulateWorkload routes through the shared boosting.Pipeline, so
-// compiled artifacts and scalar baselines are reused across requests.
-func (s *Server) simulateWorkload(ctx context.Context, req SimulateRequest) (int, any) {
-	c, err := s.pipe.Compile(ctx, req.Workload, req.Options.opts()...)
+	opts := req.Options.opts()
+	c, err := s.pipe.CompileAsm(ctx, req.Asm, s.cfg.MaxRefSteps, opts...)
 	if err != nil {
 		return domainStatus(err)
 	}
-	setArtifactSource(ctx, c.Source())
+	sp, schedStats, err := s.pipe.Schedule(ctx, c, model, opts...)
+	if err != nil {
+		return domainStatus(err)
+	}
+	stats := &boosting.CompileStats{}
+	stats.Add(c.CompileStats())
+	stats.Add(schedStats)
+	s.metrics.recordCompilePasses(stats)
+	return http.StatusOK, CompileResponse{
+		SchemaVersion: SchemaVersion,
+		Model:         model.Name,
+		Listing:       sp.Format(),
+		Insts:         sp.NumInsts(),
+		Procs:         len(sp.Procs),
+		ObjectGrowth:  sp.ObjectGrowth(),
+		PassStats:     stats,
+	}
+}
+
+// simulate compiles a workload or an assembly program through the shared
+// pipeline, executes it, and reports verified cycle counts and speculation
+// statistics. Workload artifacts and scalar baselines are reused across
+// requests; an assembly program is compiled afresh with a profile trained
+// on the same input it predicts — callers benchmarking the predictor
+// should use named workloads, which keep the paper's train/test split.
+func (s *Server) simulate(ctx context.Context, req SimulateRequest) (int, any) {
 	opts := req.Options.opts()
+	var (
+		c   *boosting.Compiled
+		err error
+	)
+	if req.Workload != "" {
+		c, err = s.pipe.Compile(ctx, req.Workload, opts...)
+	} else {
+		c, err = s.pipe.CompileAsm(ctx, req.Asm, s.cfg.MaxRefSteps, opts...)
+	}
+	if err != nil {
+		return domainStatus(err)
+	}
+	if req.Workload != "" {
+		setArtifactSource(ctx, c.Source())
+	}
 	if req.Mem != nil {
 		opts = append(opts, boosting.WithMemHier(req.Mem.config()))
 	}
+	resp := SimulateResponse{SchemaVersion: SchemaVersion, Workload: req.Workload}
 	if req.Dynamic {
 		res, err := s.pipe.SimulateDynamic(ctx, c, req.Renaming, opts...)
 		if err != nil {
 			return domainStatus(err)
 		}
 		s.metrics.recordMem(res.Mem)
-		return http.StatusOK, SimulateResponse{
-			SchemaVersion: SchemaVersion,
-			Workload:      req.Workload,
-			Machine:       fmt.Sprintf("dynamic(renaming=%v)", req.Renaming),
-			Cycles:        res.Cycles,
-			ScalarCycles:  res.ScalarCycles,
-			Speedup:       res.Speedup,
-			Mispredicts:   res.Mispredicts,
-			Mem:           memStatsResponse(res.Mem, res.MemStalls, 0, 0),
-			OutLen:        len(res.Out),
-		}
+		resp.Machine = fmt.Sprintf("dynamic(renaming=%v)", req.Renaming)
+		resp.Cycles, resp.ScalarCycles = res.Cycles, res.ScalarCycles
+		resp.Speedup = ratio(res.ScalarCycles, res.Cycles)
+		resp.Mispredicts = res.Mispredicts
+		resp.Mem = memStatsResponse(res.Mem, res.MemStalls, 0, 0)
+		resp.OutLen = len(res.Out)
+		return http.StatusOK, resp
 	}
 	model, _ := boosting.ModelByName(req.Model)
 	res, err := s.pipe.Simulate(ctx, c, model, opts...)
@@ -148,180 +95,17 @@ func (s *Server) simulateWorkload(ctx context.Context, req SimulateRequest) (int
 		return domainStatus(err)
 	}
 	s.metrics.recordMem(res.Mem)
-	return http.StatusOK, SimulateResponse{
-		SchemaVersion:      SchemaVersion,
-		Workload:           req.Workload,
-		Machine:            model.Name,
-		Cycles:             res.Cycles,
-		ScalarCycles:       res.ScalarCycles,
-		Speedup:            res.Speedup,
-		Insts:              res.Insts,
-		IPC:                ratio(res.Insts, res.Cycles),
-		BoostedExec:        res.BoostedExec,
-		Squashed:           res.Squashed,
-		PredictionAccuracy: res.PredictionAccuracy,
-		ObjectGrowth:       res.ObjectGrowth,
-		Mem:                memStatsResponse(res.Mem, res.MemStalls, res.BoostedMemStalls, res.SquashedMemStalls),
-		OutLen:             len(res.Out),
-	}
+	resp.Machine = model.Name
+	resp.Cycles, resp.ScalarCycles = res.Cycles, res.ScalarCycles
+	resp.Speedup = ratio(res.ScalarCycles, res.Cycles)
+	resp.Insts, resp.IPC = res.Insts, ratio(res.Insts, res.Cycles)
+	resp.BoostedExec, resp.Squashed = res.BoostedExec, res.Squashed
+	resp.PredictionAccuracy = res.PredictionAccuracy
+	resp.ObjectGrowth = res.ObjectGrowth
+	resp.Mem = memStatsResponse(res.Mem, res.MemStalls, res.BoostedMemStalls, res.SquashedMemStalls)
+	resp.OutLen = len(res.Out)
+	return http.StatusOK, resp
 }
-
-// simulateAsm runs the full pipeline on a caller-supplied program:
-// parse, register-allocate (unless infinite registers), self-profile,
-// reference-interpret, schedule, execute, and verify. The profile is
-// trained on the same input it predicts — callers benchmarking the
-// predictor should use named workloads, which keep the paper's
-// train/test split.
-func (s *Server) simulateAsm(ctx context.Context, req SimulateRequest) (int, any) {
-	pr, ref, status, eresp := s.prepareAsm(ctx, req.Asm, req.Options.InfiniteRegisters)
-	if eresp != nil {
-		return status, eresp
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil
-	}
-
-	var mem *memhier.Config
-	if req.Mem != nil {
-		cfg := req.Mem.config()
-		mem = &cfg
-	}
-	scalar, eresp := s.asmScalarBaseline(pr, ref, mem)
-	if eresp != nil {
-		return http.StatusUnprocessableEntity, eresp
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil
-	}
-
-	if req.Dynamic {
-		cfg := dynsched.Default()
-		cfg.Renaming = req.Renaming
-		cfg.Mem = mem
-		res, err := dynsched.Simulate(prog.Clone(pr), cfg)
-		if err != nil {
-			return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("dynamic simulation: %v", err)}
-		}
-		if err := verifyAgainst(ref, res.Out, res.MemHash); err != nil {
-			return http.StatusInternalServerError, errorResponse{err.Error()}
-		}
-		s.metrics.recordMem(res.Mem)
-		return http.StatusOK, SimulateResponse{
-			SchemaVersion: SchemaVersion,
-			Machine:       fmt.Sprintf("dynamic(renaming=%v)", req.Renaming),
-			Cycles:        res.Cycles,
-			ScalarCycles:  scalar,
-			Speedup:       ratio(scalar, res.Cycles),
-			Mispredicts:   res.Mispredicts,
-			Mem:           memStatsResponse(res.Mem, res.MemStalls, 0, 0),
-			OutLen:        len(res.Out),
-		}
-	}
-
-	model, _ := boosting.ModelByName(req.Model)
-	sp, err := core.Schedule(prog.Clone(pr), model, req.Options.coreOptions())
-	if err != nil {
-		return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("schedule: %v", err)}
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, nil
-	}
-	res, err := sim.Exec(sp, sim.ExecConfig{MaxCycles: s.execCycleCap(), Mem: mem})
-	if err != nil {
-		return http.StatusUnprocessableEntity, errorResponse{fmt.Sprintf("simulation: %v", err)}
-	}
-	if err := verifyAgainst(ref, res.Out, res.MemHash); err != nil {
-		return http.StatusInternalServerError, errorResponse{err.Error()}
-	}
-	s.metrics.recordMem(res.Mem)
-	return http.StatusOK, SimulateResponse{
-		SchemaVersion:      SchemaVersion,
-		Machine:            model.Name,
-		Cycles:             res.Cycles,
-		ScalarCycles:       scalar,
-		Speedup:            ratio(scalar, res.Cycles),
-		Insts:              res.Insts,
-		IPC:                ratio(res.Insts, res.Cycles),
-		BoostedExec:        res.BoostedExec,
-		Squashed:           res.Squashed,
-		PredictionAccuracy: selfAccuracy(pr),
-		ObjectGrowth:       sp.ObjectGrowth(),
-		Mem:                memStatsResponse(res.Mem, res.MemStalls, res.BoostedMemStalls, res.SquashedMemStalls),
-		OutLen:             len(res.Out),
-	}
-}
-
-// prepareAsm parses and readies a caller-supplied program: register
-// allocation (unless infinite registers), then a bounded run that both
-// serves as the reference for verification and proves the program halts
-// before profile.Annotate re-runs it without a step limit.
-func (s *Server) prepareAsm(ctx context.Context, asm string, infiniteReg bool) (*prog.Program, *sim.Result, int, *errorResponse) {
-	pr, err := prog.Parse(asm)
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, &errorResponse{fmt.Sprintf("parse: %v", err)}
-	}
-	if !infiniteReg {
-		if _, err := regalloc.Allocate(pr); err != nil {
-			return nil, nil, http.StatusUnprocessableEntity, &errorResponse{fmt.Sprintf("regalloc: %v", err)}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, &errorResponse{}
-	}
-	ref, err := sim.Run(pr, sim.RefConfig{MaxSteps: s.cfg.MaxRefSteps})
-	if err != nil {
-		return nil, nil, http.StatusUnprocessableEntity, &errorResponse{fmt.Sprintf("reference run: %v", err)}
-	}
-	if err := profile.Annotate(pr); err != nil {
-		return nil, nil, http.StatusUnprocessableEntity, &errorResponse{fmt.Sprintf("profile: %v", err)}
-	}
-	return pr, ref, http.StatusOK, nil
-}
-
-// selfAccuracy reads the static predictor's accuracy straight out of the
-// self-trained profile counts: the majority direction is predicted, so
-// the majority count is the correct count.
-func selfAccuracy(pr *prog.Program) float64 {
-	var total, correct int64
-	for _, p := range pr.ProcList() {
-		for _, b := range p.Blocks {
-			t := b.Terminator()
-			if t == nil || !isa.IsCondBranch(t.Op) {
-				continue
-			}
-			total += b.Count
-			if maj := b.Count - b.TakenCount; maj > b.TakenCount {
-				correct += maj
-			} else {
-				correct += b.TakenCount
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(correct) / float64(total)
-}
-
-// asmScalarBaseline measures the single-issue R2000 baseline for a
-// prepared assembly program, under the same memory hierarchy (if any) as
-// the boosted run it normalizes.
-func (s *Server) asmScalarBaseline(pr *prog.Program, ref *sim.Result, mem *memhier.Config) (int64, *errorResponse) {
-	sp, err := core.Schedule(prog.Clone(pr), machine.Scalar(), core.Options{LocalOnly: true})
-	if err != nil {
-		return 0, &errorResponse{fmt.Sprintf("scalar baseline schedule: %v", err)}
-	}
-	res, err := sim.Exec(sp, sim.ExecConfig{MaxCycles: s.execCycleCap(), Mem: mem})
-	if err != nil {
-		return 0, &errorResponse{fmt.Sprintf("scalar baseline: %v", err)}
-	}
-	if err := verifyAgainst(ref, res.Out, res.MemHash); err != nil {
-		return 0, &errorResponse{"scalar baseline: " + err.Error()}
-	}
-	return res.Cycles, nil
-}
-
-func (s *Server) execCycleCap() int64 { return s.cfg.MaxRefSteps * 8 }
 
 // grid runs a workload × model × ablation sweep, fanned out over the
 // experiment harness's bounded worker pool. One grid request holds one
@@ -482,30 +266,21 @@ func (s *Server) gridMemSweep(ctx context.Context, req GridRequest, cells []boos
 
 // domainStatus classifies a pipeline error: context errors are handed
 // back untouched for serveHeavy to map (the zero status is never written
-// because serveHeavy re-checks ctx), everything else is a deterministic
-// domain failure.
+// because serveHeavy re-checks ctx); an unparsable program is a bad
+// request; a run that disagrees with the reference interpreter is a
+// fault of the server, whatever the source; anything else is a
+// deterministic domain failure of the program.
 func domainStatus(err error) (int, any) {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	var perr *boosting.ParseError
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		return 0, nil
+	case errors.As(err, &perr):
+		return http.StatusBadRequest, errorResponse{err.Error()}
+	case errors.Is(err, boosting.ErrVerification):
+		return http.StatusInternalServerError, errorResponse{err.Error()}
 	}
 	return http.StatusUnprocessableEntity, errorResponse{err.Error()}
-}
-
-// verifyAgainst compares a simulated run's observables with the
-// reference interpreter's.
-func verifyAgainst(ref *sim.Result, out []uint32, memHash uint64) error {
-	if len(out) != len(ref.Out) {
-		return fmt.Errorf("verification failed: %d outputs, want %d", len(out), len(ref.Out))
-	}
-	for i := range out {
-		if out[i] != ref.Out[i] {
-			return fmt.Errorf("verification failed: out[%d] = %d, want %d", i, out[i], ref.Out[i])
-		}
-	}
-	if memHash != ref.MemHash {
-		return fmt.Errorf("verification failed: final memory differs")
-	}
-	return nil
 }
 
 // ratio is a/b guarding the b==0 edge.

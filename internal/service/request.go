@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"boosting"
-	"boosting/internal/core"
 	"boosting/internal/memhier"
 )
 
@@ -62,16 +61,6 @@ func (o OptionsRequest) opts() []boosting.Option {
 		opts = append(opts, boosting.WithMaxTraceBlocks(o.MaxTraceBlocks))
 	}
 	return opts
-}
-
-func (o OptionsRequest) coreOptions() core.Options {
-	return core.Options{
-		LocalOnly:          o.LocalOnly,
-		DisableEquivalence: o.NoEquivalence,
-		NoDisambiguation:   o.NoDisambiguation,
-		NoBoostedLoads:     o.NoBoostedLoads,
-		MaxTraceBlocks:     o.MaxTraceBlocks,
-	}
 }
 
 // key spells out every field so the response cache never conflates two

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"boosting"
 )
 
 // testAsm builds a small self-contained program in the internal/prog
@@ -219,6 +221,32 @@ func TestSimulateWorkloadAndDynamic(t *testing.T) {
 	}
 	if dr.Machine != "dynamic(renaming=true)" || dr.Cycles <= 0 {
 		t.Errorf("suspicious dynamic result: %+v", dr)
+	}
+}
+
+// TestVerificationMismatchIs500: a run that disagrees with the reference
+// interpreter is the server's fault on the workload path as on the
+// assembly path. The installed artifact's reference output is altered, so
+// a correct run fails verification.
+func TestVerificationMismatchIs500(t *testing.T) {
+	if testing.Short() {
+		t.Skip("workload compile in -short mode")
+	}
+	ctx := context.Background()
+	c, err := boosting.NewPipeline().Compile(ctx, "grep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := c.Artifact()
+	a.Ref.Out = append([]uint32(nil), a.Ref.Out...)
+	a.Ref.Out[0]++
+	s, ts := newTestServer(t, Config{})
+	if _, err := s.Pipeline().CompileFromArtifact(ctx, a); err != nil {
+		t.Fatal(err)
+	}
+	resp, b := post(t, ts, "/v1/simulate", `{"workload": "grep", "model": "NoBoost"}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), "verification failed") {
+		t.Errorf("simulate = %d %s, want 500 and a verification failure", resp.StatusCode, b)
 	}
 }
 

@@ -2,6 +2,7 @@ package boosting
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,28 +21,34 @@ import (
 	"boosting/internal/workloads"
 )
 
-// Pipeline is the staged, reusable form of the compile-and-simulate
-// facade. It separates the two expensive phases —
+// Pipeline is the reproduction's one compile→simulate→verify path. It
+// separates the expensive phases —
 //
-//	Compile   build train/test pair → register-allocate → profile →
-//	          transfer predictions (one artifact per workload ×
-//	          register-allocation mode)
-//	Simulate  clone → schedule for a machine model → execute → verify
-//	          against the reference interpreter
+//	Compile   a workload: build train/test pair → register-allocate →
+//	          profile → transfer predictions → reference run (one
+//	          artifact per workload × register-allocation mode);
+//	          CompileAsm does the same for an assembly program, with a
+//	          bounded reference run and a self-trained profile
+//	Schedule  schedule a private clone for a machine model, recorded on
+//	          the compiled program
+//	Simulate  execute → verify against the reference run → normalize by
+//	          the R2000 baseline (ScalarCycles)
 //
-// — and memoizes compiled artifacts and the scalar-R2000 baseline with
+// — and memoizes compiled workloads and their scalar baselines with
 // singleflight deduplication, so one Pipeline can drive many Simulate
 // calls (or a whole Grid) concurrently without ever rebuilding shared
-// work. All methods are safe for concurrent use.
+// work. The experiment harness (internal/experiments), boostd and boostcc
+// all build, baseline and verify through it. All methods are safe for
+// concurrent use.
 type Pipeline struct {
 	base     config
 	compiles *cache.Memo[*Compiled]
-	scalars  *cache.Memo[int64]
 
-	// schedPasses counts scheduler invocations (Simulate misses plus
-	// scalar-baseline builds). Artifact-cache tests use it to prove a
-	// warm start ran zero schedule passes.
-	schedPasses atomic.Int64
+	// The counters behind Counts.
+	builds, schedules, sims, simCycles, boosted, squashed atomic.Int64
+	// baseHits and baseMisses count scalar-baseline lookups, which are
+	// memoized on each compiled program rather than in one table.
+	baseHits, baseMisses atomic.Int64
 }
 
 // NewPipeline returns an empty pipeline. opts become the defaults for
@@ -50,22 +57,35 @@ func NewPipeline(opts ...Option) *Pipeline {
 	return &Pipeline{
 		base:     config{}.apply(opts),
 		compiles: cache.NewMemo[*Compiled](),
-		scalars:  cache.NewMemo[int64](),
 	}
 }
 
-// Compiled is an immutable compiled artifact: the test program of a
-// workload with predictions transferred from its training profile,
-// together with its reference-interpreter run. It is shared between
-// Simulate calls — Program returns a private clone for callers that
-// want to mutate or schedule it themselves.
+// Compiled is an immutable compiled program — a workload's test program
+// with predictions transferred from its training profile, or a
+// self-profiled assembly program — together with its reference-
+// interpreter run. It is shared between Simulate calls; Program returns a
+// private clone for callers that want to mutate or schedule it
+// themselves.
 type Compiled struct {
-	// Workload is the workload name this artifact was built from.
+	// Workload is the workload name this artifact was built from ("" for
+	// an assembly program).
 	Workload string
 	// InfiniteRegisters records whether register allocation was skipped.
 	InfiniteRegisters bool
 
-	w      *workloads.Workload
+	// w is the workload the program was built from; nil for assembly
+	// programs and for installed artifacts of workloads this build does
+	// not know.
+	w *workloads.Workload
+	// asm marks a CompileAsm program: it is its own scalar baseline.
+	asm bool
+	// artKey is the artifact-cache key; empty when the cache must not
+	// hold the program (assembly, workloads with custom inputs).
+	artKey string
+	// maxCycles caps every execution of the program (0 = the
+	// simulator's default).
+	maxCycles int64
+
 	master *prog.Program
 	ref    *sim.Result
 	acc    float64
@@ -75,10 +95,15 @@ type Compiled struct {
 	// "peer", "artifact"); see Source.
 	source string
 
+	// scalars memoizes the R2000 baseline measured on this program, by
+	// memory hierarchy.
+	scalars *cache.Memo[int64]
+
 	// mu guards the accumulating state below. Everything above is
 	// immutable after construction.
 	mu sync.Mutex
-	// scalarCyc memoizes the R2000 baseline (0 = not yet measured).
+	// scalarCyc is the perfect-memory baseline carried to and from
+	// artifacts (0 = not yet measured).
 	scalarCyc int64
 	// variants caches schedules by artifact.VariantKey so repeat
 	// Simulate calls — and warm starts from a decoded artifact — skip
@@ -94,42 +119,89 @@ func (c *Compiled) Program() *prog.Program { return prog.Clone(c.master) }
 // input.
 func (c *Compiled) PredictionAccuracy() float64 { return c.acc }
 
+// ReferenceInsts is the number of instructions the reference run
+// executed: the useful work every machine model performs on the input.
+func (c *Compiled) ReferenceInsts() int64 { return c.ref.Insts }
+
 // CompileStats reports the per-pass timings of the artifact build
-// (workload construction, register allocation, profiling, reference
-// run). The artifact is memoized, so the report describes the build that
-// actually ran, not the call that hit the cache.
+// (workload construction or parse, register allocation, profiling,
+// reference run). A workload's artifact is memoized, so the report
+// describes the build that actually ran, not the call that hit the cache.
 func (c *Compiled) CompileStats() *CompileStats { return c.stats }
 
-// Compile builds the named workload's train/test pair, register-
+// ErrVerification marks a run whose observable output or final memory
+// differs from the reference interpreter's: a fault of the compiler or
+// the simulator, never of the program.
+var ErrVerification = errors.New("verification failed")
+
+// Verify checks a run's observable output and final-memory hash against
+// the reference run. A mismatch wraps ErrVerification.
+func (c *Compiled) Verify(out []uint32, memHash uint64) error {
+	want := c.ref.Out
+	if len(out) != len(want) {
+		return fmt.Errorf("%w: %d outputs, want %d", ErrVerification, len(out), len(want))
+	}
+	for i := range out {
+		if out[i] != want[i] {
+			return fmt.Errorf("%w: out[%d] = %d, want %d", ErrVerification, i, out[i], want[i])
+		}
+	}
+	if memHash != c.ref.MemHash {
+		return fmt.Errorf("%w: final memory differs", ErrVerification)
+	}
+	return nil
+}
+
+// fail names the workload and machine a stage error came from. An
+// assembly program has no name, so its errors keep only their stage
+// prefix.
+func (c *Compiled) fail(on string, err error) error {
+	if c.Workload == "" {
+		return err
+	}
+	return fmt.Errorf("boosting: %s %s: %w", c.Workload, on, err)
+}
+
+// Compile is CompileWorkload for the named benchmark workload.
+func (p *Pipeline) Compile(ctx context.Context, workload string, opts ...Option) (*Compiled, error) {
+	w, err := workloads.ByName(workload)
+	if err != nil {
+		return nil, err
+	}
+	return p.CompileWorkload(ctx, w, opts...)
+}
+
+// CompileWorkload builds the workload's train/test pair, register-
 // allocates it (unless WithInfiniteRegisters), transfers branch
 // predictions from the training profile, and runs the reference
-// interpreter on the result. The artifact is memoized: concurrent and
-// repeated Compile calls for the same (workload, register mode) share
-// one build.
-func (p *Pipeline) Compile(ctx context.Context, workload string, opts ...Option) (*Compiled, error) {
+// interpreter on the result, which also measures the predictor. The
+// artifact is memoized: concurrent and repeated calls for the same
+// (workload, inputs, register mode) share one build. Only workloads with
+// the registry's inputs read or write the artifact cache.
+func (p *Pipeline) CompileWorkload(ctx context.Context, w *workloads.Workload, opts ...Option) (*Compiled, error) {
 	cfg := p.base.apply(opts)
-	alloc := !cfg.infiniteReg
-	key := compileKey(workload, alloc)
+	key := compileKey(w.Name, !cfg.infiniteReg)
+	artKey := key
+	if reg, err := workloads.ByName(w.Name); err != nil || reg.Train != w.Train || reg.Test != w.Test {
+		key += fmt.Sprintf("|train=%d:%d|test=%d:%d", w.Train.Seed, w.Train.Size, w.Test.Seed, w.Test.Size)
+		artKey = ""
+	}
 	return p.compiles.Do(ctx, key, func() (*Compiled, error) {
-		if cfg.artifacts != nil {
-			a, source, err := cfg.artifacts.Get(ctx, key)
-			if err == nil && a != nil && a.Workload == workload &&
+		if cfg.artifacts != nil && artKey != "" {
+			a, source, err := cfg.artifacts.Get(ctx, artKey)
+			if err == nil && a != nil && a.Workload == w.Name &&
 				a.InfiniteRegisters == cfg.infiniteReg {
 				return compiledFromArtifact(a, source), nil
 			}
 		}
-		w, err := workloads.ByName(workload)
-		if err != nil {
-			return nil, err
-		}
 		pm := passes.NewManager()
 		pm.VerifyEach = cfg.verifyEach
 		var train, test *prog.Program
-		err = pm.Run("build", func() error {
+		err := pm.Run("build", func() error {
 			train, test = w.BuildTrain(), w.BuildTest()
 			return nil
 		})
-		if err == nil && alloc {
+		if err == nil && !cfg.infiniteReg {
 			err = pm.Run("regalloc", func() error {
 				if _, err := regalloc.Allocate(train); err != nil {
 					return fmt.Errorf("train: %w", err)
@@ -148,125 +220,178 @@ func (p *Pipeline) Compile(ctx context.Context, workload string, opts ...Option)
 				return profile.Transfer(train, test)
 			}, train, test)
 		}
-		var ref *sim.Result
+		var (
+			ref  *sim.Result
+			hits profile.Hits
+		)
 		if err == nil {
 			err = pm.Run("reference-run", func() error {
 				var rerr error
-				ref, rerr = sim.Run(test, sim.RefConfig{})
+				ref, rerr = sim.Run(test, sim.RefConfig{OnBranch: hits.OnBranch})
 				return rerr
 			})
 		}
 		if err != nil {
-			return nil, fmt.Errorf("boosting: %s: %w", workload, err)
+			return nil, fmt.Errorf("boosting: %s: %w", w.Name, err)
 		}
-		acc, err := profile.Accuracy(test)
-		if err != nil {
-			return nil, err
-		}
+		p.builds.Add(1)
 		c := &Compiled{
-			Workload:          workload,
+			Workload:          w.Name,
 			InfiniteRegisters: cfg.infiniteReg,
 			w:                 w,
+			artKey:            artKey,
 			master:            test,
 			ref:               ref,
-			acc:               acc,
+			acc:               hits.Accuracy(ref.Branches),
 			stats:             pm.Stats(),
 			source:            "compile",
+			scalars:           cache.NewMemo[int64](),
 		}
 		p.saveArtifact(ctx, cfg, c)
 		return c, nil
 	})
 }
 
-// Simulate schedules the compiled artifact for the model (on a private
-// clone), executes it on the machine simulator, verifies output and
-// final memory against the reference interpreter, and reports cycles
-// and speedup over the scalar R2000 baseline. If the compiled artifact
-// already carries a schedule for this (model, options) variant — a
-// repeat call, or a warm start from a decoded artifact — the scheduler
-// is skipped entirely and the recorded schedule is executed.
-func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Model, opts ...Option) (*Result, error) {
+// ParseError reports an assembly program CompileAsm could not parse: a
+// fault of the request, where every later stage error is a property of
+// the program it describes.
+type ParseError struct{ Err error }
+
+func (e *ParseError) Error() string { return "parse: " + e.Err.Error() }
+
+func (e *ParseError) Unwrap() error { return e.Err }
+
+// CompileAsm compiles an assembly program (the textual dialect of
+// internal/prog): parse, register-allocate (unless
+// WithInfiniteRegisters), a reference run bounded by maxSteps (0 = the
+// interpreter's default) that proves the program halts, and a profile
+// trained on the same input it predicts — callers benchmarking the
+// predictor should use workloads, which keep the paper's train/test
+// split. Every later run of the program is capped at 8×maxSteps cycles.
+// A parse failure is a *ParseError; other stage errors carry their
+// stage's prefix. The result is not memoized, and the artifact cache
+// never holds it.
+func (p *Pipeline) CompileAsm(ctx context.Context, asm string, maxSteps int64, opts ...Option) (*Compiled, error) {
 	cfg := p.base.apply(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
+	pm := passes.NewManager()
+	pm.VerifyEach = cfg.verifyEach
+	// stage runs fn as a named pass, keeping the stage's own prefix on
+	// its error rather than the manager's wrapping.
+	stage := func(name, label string, fn func() error, progs ...*prog.Program) error {
+		var ferr error
+		err := pm.Run(name, func() error { ferr = fn(); return ferr }, progs...)
+		if ferr != nil {
+			return fmt.Errorf("%s: %w", label, ferr)
+		}
+		return err
 	}
-	vkey := artifact.VariantKey(model, cfg.core)
-	sp, schedStats := c.variant(vkey)
-	fresh := sp == nil
-	if fresh {
-		test := c.Program()
-		pm := passes.NewManager()
-		pm.VerifyEach = cfg.verifyEach
-		var err error
-		sp, err = pm.Schedule(test, model, cfg.core)
-		if err != nil {
+	var (
+		pr   *prog.Program
+		perr error
+	)
+	if pm.Run("parse", func() error {
+		pr, perr = prog.Parse(asm)
+		return perr
+	}) != nil {
+		return nil, &ParseError{Err: perr}
+	}
+	if !cfg.infiniteReg {
+		if err := stage("regalloc", "regalloc", func() error {
+			_, err := regalloc.Allocate(pr)
+			return err
+		}, pr); err != nil {
 			return nil, err
 		}
-		p.schedPasses.Add(1)
-		schedStats = pm.Stats()
-	}
-	if schedStats == nil {
-		schedStats = &CompileStats{}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
-	}
-	res, err := sim.Exec(sp, sim.ExecConfig{Mem: cfg.mem})
-	if err != nil {
 		return nil, err
 	}
-	if err := verifyRun(c.ref, res.Out, res.MemHash); err != nil {
-		return nil, fmt.Errorf("boosting: %s on %s: %w", c.Workload, model, err)
-	}
-	scalar, err := p.scalarCycles(ctx, c.Workload, c.scalarHint(), cfg.mem)
-	if err != nil {
+	var ref *sim.Result
+	if err := stage("reference-run", "reference run", func() (err error) {
+		ref, err = sim.Run(pr, sim.RefConfig{MaxSteps: maxSteps})
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	// The scalar baseline is workload-global and computed under the
-	// pipeline's base options; only record it on the artifact when the
-	// base compile matches it (the standard, allocated, perfect-memory
-	// configuration — a hierarchy-specific baseline must not poison the
-	// artifact's hint).
-	scalarChanged := cfg.mem == nil && !p.base.infiniteReg && c.setScalarCycles(scalar)
-	if fresh {
-		c.addVariant(vkey, sp, schedStats)
+	if err := stage("profile", "profile", func() error { return profile.Annotate(pr) }, pr); err != nil {
+		return nil, err
 	}
-	if fresh || scalarChanged {
-		p.saveArtifact(ctx, cfg, c)
-	}
-	return &Result{
-		Compile:            schedStats,
-		Cycles:             res.Cycles,
-		ScalarCycles:       scalar,
-		Speedup:            float64(scalar) / float64(res.Cycles),
-		Insts:              res.Insts,
-		BoostedExec:        res.BoostedExec,
-		Squashed:           res.Squashed,
-		MemStalls:          res.MemStalls,
-		BoostedMemStalls:   res.BoostedMemStalls,
-		SquashedMemStalls:  res.SquashedMemStalls,
-		Mem:                res.Mem,
-		PredictionAccuracy: c.acc,
-		ObjectGrowth:       sp.ObjectGrowth(),
-		Out:                res.Out,
+	p.builds.Add(1)
+	return &Compiled{
+		InfiniteRegisters: cfg.infiniteReg,
+		asm:               true,
+		maxCycles:         8 * maxSteps,
+		master:            pr,
+		ref:               ref,
+		acc:               profile.SelfAccuracy(pr),
+		stats:             pm.Stats(),
+		source:            "compile",
+		scalars:           cache.NewMemo[int64](),
 	}, nil
 }
 
-// SimulateBatch is Simulate over N execution lanes of one schedule: the
-// compiled artifact is scheduled (or fetched from its variant cache) and
+// Schedule returns c's schedule for the model under the call's scheduler
+// options, with the scheduler's per-pass report: the recorded variant
+// when c carries one (a repeat call, or a warm start from a decoded
+// artifact), otherwise a fresh schedule of a private clone, which is then
+// recorded on c. Simulate writes recorded schedules through the artifact
+// cache; Schedule writes nothing.
+func (p *Pipeline) Schedule(ctx context.Context, c *Compiled, model *machine.Model, opts ...Option) (*machine.SchedProgram, *CompileStats, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	sp, stats, _, err := p.schedule(c, model, p.base.apply(opts))
+	return sp, stats, err
+}
+
+// schedule is Schedule under resolved options; its third result reports
+// whether the scheduler ran.
+func (p *Pipeline) schedule(c *Compiled, model *machine.Model, cfg config) (*machine.SchedProgram, *CompileStats, bool, error) {
+	key := artifact.VariantKey(model, cfg.core)
+	if sp, stats := c.variant(key); sp != nil {
+		if stats == nil {
+			stats = &CompileStats{}
+		}
+		return sp, stats, false, nil
+	}
+	pm := passes.NewManager()
+	pm.VerifyEach = cfg.verifyEach
+	sp, err := pm.Schedule(c.Program(), model, cfg.core)
+	if err != nil {
+		return nil, nil, false, fmt.Errorf("schedule: %w", err)
+	}
+	p.schedules.Add(1)
+	c.addVariant(key, sp, pm.Stats())
+	return sp, pm.Stats(), true, nil
+}
+
+// Simulate schedules the compiled program for the model (see Schedule),
+// executes it on the machine simulator, verifies output and final memory
+// against the reference interpreter, and reports cycles and speedup over
+// the scalar R2000 baseline. It is SimulateBatch with one lane.
+func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Model, opts ...Option) (*Result, error) {
+	results, errs, err := p.SimulateBatch(ctx, c, model, [][]Option{nil}, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], errs[0]
+}
+
+// SimulateBatch runs N execution lanes of one schedule: the compiled
+// program is scheduled (or fetched from its variant cache) and
 // predecoded once, then every lane runs in a single lockstep
 // sim.ExecBatch pass and is verified against the reference interpreter.
 // Lane option sets may vary only the memory hierarchy — WithMemHier /
 // WithPerfectMemory — because all lanes share the schedule; a lane whose
 // options would change the schedule variant (scheduler ablations,
 // WithLocalOnly, ...) fails the whole batch, since its result could not
-// equal a solo Simulate of those options. results[i]/errs[i]
-// mirror Simulate(ctx, c, model, append(opts, lanes[i]...)...) slot for
-// slot; err reports batch-level failures (scheduling, lane validation).
+// equal a solo Simulate of those options. results[i]/errs[i] are the
+// outcome of Simulate(ctx, c, model, append(opts, lanes[i]...)...); err
+// reports batch-level failures (scheduling, lane validation).
 func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machine.Model, lanes [][]Option, opts ...Option) (results []*Result, errs []error, err error) {
 	base := p.base.apply(opts)
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("boosting: simulate batch %s on %s: %w", c.Workload, model, err)
+		return nil, nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
 	}
 	vkey := artifact.VariantKey(model, base.core)
 	laneCfgs := make([]config, len(lanes))
@@ -279,52 +404,43 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 		}
 		laneCfgs[i] = lc
 	}
-	sp, schedStats := c.variant(vkey)
-	fresh := sp == nil
-	if fresh {
-		test := c.Program()
-		pm := passes.NewManager()
-		pm.VerifyEach = base.verifyEach
-		var serr error
-		sp, serr = pm.Schedule(test, model, base.core)
-		if serr != nil {
-			return nil, nil, serr
-		}
-		p.schedPasses.Add(1)
-		schedStats = pm.Stats()
-	}
-	if schedStats == nil {
-		schedStats = &CompileStats{}
+	on := "on " + model.Name
+	sp, schedStats, fresh, err := p.schedule(c, model, base)
+	if err != nil {
+		return nil, nil, c.fail(on, err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("boosting: simulate batch %s on %s: %w", c.Workload, model, err)
+		return nil, nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
 	}
 	cfgs := make([]sim.ExecConfig, len(lanes))
 	for i := range laneCfgs {
-		cfgs[i] = sim.ExecConfig{Mem: laneCfgs[i].mem}
+		cfgs[i] = sim.ExecConfig{MaxCycles: c.maxCycles, Mem: laneCfgs[i].mem}
 	}
 	execRes, execErrs := sim.ExecBatch(sp, cfgs)
 
 	results = make([]*Result, len(lanes))
 	errs = make([]error, len(lanes))
 	saveNeeded := fresh
-	for i := range lanes {
+	for i, res := range execRes {
 		if execErrs[i] != nil {
-			errs[i] = execErrs[i]
+			errs[i] = c.fail(on, fmt.Errorf("simulation: %w", execErrs[i]))
 			continue
 		}
-		res := execRes[i]
-		if verr := verifyRun(c.ref, res.Out, res.MemHash); verr != nil {
-			errs[i] = fmt.Errorf("boosting: %s on %s: %w", c.Workload, model, verr)
+		p.countRun(res.Cycles, res.BoostedExec, res.Squashed)
+		if verr := c.Verify(res.Out, res.MemHash); verr != nil {
+			errs[i] = c.fail(on, verr)
 			continue
 		}
-		scalar, serr := p.scalarCycles(ctx, c.Workload, c.scalarHint(), laneCfgs[i].mem)
+		scalar, serr := p.scalarCycles(ctx, c, laneCfgs[i].mem)
 		if serr != nil {
 			errs[i] = serr
 			continue
 		}
-		// Mirrors Simulate's artifact-hint policy: only the standard
-		// perfect-memory, allocated configuration may record the baseline.
+		// The scalar baseline is workload-global and computed under the
+		// pipeline's base options; only record it on the artifact when the
+		// base compile matches it (the standard, allocated, perfect-memory
+		// configuration — a hierarchy-specific baseline must not poison the
+		// artifact's hint).
 		if laneCfgs[i].mem == nil && !p.base.infiniteReg && c.setScalarCycles(scalar) {
 			saveNeeded = true
 		}
@@ -345,21 +461,13 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 			Out:                res.Out,
 		}
 	}
-	if fresh {
-		c.addVariant(vkey, sp, schedStats)
-	}
 	if saveNeeded {
 		p.saveArtifact(ctx, base, c)
 	}
 	return results, errs, nil
 }
 
-// SchedulePasses reports how many times this pipeline has invoked the
-// scheduler (variant misses plus scalar-baseline builds). A fully warm
-// artifact start keeps it at zero.
-func (p *Pipeline) SchedulePasses() int64 { return p.schedPasses.Load() }
-
-// SimulateDynamic runs the compiled artifact on the paper's
+// SimulateDynamic runs the compiled program on the paper's
 // dynamically-scheduled superscalar (30 reservation stations, 16-entry
 // reorder buffer, 2048×4 BTB), with or without register renaming.
 // WithMemHier applies here too: loads and stores then contend for the
@@ -375,12 +483,13 @@ func (p *Pipeline) SimulateDynamic(ctx context.Context, c *Compiled, renaming bo
 	cfg.Mem = pcfg.mem
 	res, err := dynsched.Simulate(c.Program(), cfg)
 	if err != nil {
-		return nil, err
+		return nil, c.fail("dynamic", fmt.Errorf("dynamic simulation: %w", err))
 	}
-	if err := verifyRun(c.ref, res.Out, res.MemHash); err != nil {
-		return nil, fmt.Errorf("boosting: %s dynamic: %w", c.Workload, err)
+	p.countRun(res.Cycles, 0, 0)
+	if err := c.Verify(res.Out, res.MemHash); err != nil {
+		return nil, c.fail("dynamic", err)
 	}
-	scalar, err := p.scalarCycles(ctx, c.Workload, c.scalarHint(), pcfg.mem)
+	scalar, err := p.scalarCycles(ctx, c, pcfg.mem)
 	if err != nil {
 		return nil, err
 	}
@@ -404,50 +513,116 @@ func (p *Pipeline) Run(ctx context.Context, workload string, model *machine.Mode
 	return p.Simulate(ctx, c, model, opts...)
 }
 
-// CacheStats reports the pipeline's artifact-cache activity: lookups
-// served from the memoized compile/baseline stores versus lookups that
-// ran the underlying computation. Servers exporting pipeline metrics
-// (cmd/boostd's /metrics) read their gauges from here.
-func (p *Pipeline) CacheStats() (hits, misses int64) {
-	ch, cm := p.compiles.Stats()
-	sh, sm := p.scalars.Stats()
-	return ch + sh, cm + sm
+// ScalarCycles is the R2000 baseline that c's speedups are measured
+// against: the compiled program scheduled for the scalar model with
+// LocalOnly, executed under the call's memory hierarchy and verified.
+// A workload's baseline runs on its compile made under the pipeline's
+// base options, so register-allocated and infinite-register runs share
+// one baseline; an assembly program's baseline runs on the program
+// itself. The result is memoized on that compiled program per memory
+// hierarchy. A perfect-memory baseline carried by a decoded artifact
+// resolves without scheduling anything, as long as the pipeline's base
+// compile is the standard allocated configuration it was measured under.
+func (p *Pipeline) ScalarCycles(ctx context.Context, c *Compiled, opts ...Option) (int64, error) {
+	return p.scalarCycles(ctx, c, p.base.apply(opts).mem)
 }
 
-// scalarCycles memoizes the R2000 baseline per workload, keyed by the
-// memory hierarchy, because Speedup must compare like-for-like: a run
-// against a finite hierarchy is measured against a scalar baseline
-// suffering the same hierarchy. A positive hint — carried by a decoded
-// artifact — resolves the baseline without building or scheduling
-// anything, as long as the pipeline's base compile is the standard
-// allocated, perfect-memory configuration the hint was measured under.
-func (p *Pipeline) scalarCycles(ctx context.Context, workload string, hint int64, mem *memhier.Config) (int64, error) {
-	key := "scalar|" + workload
-	if mem != nil {
-		key += "|mem=" + mem.Key()
+func (p *Pipeline) scalarCycles(ctx context.Context, c *Compiled, mem *memhier.Config) (int64, error) {
+	bc := c
+	if !c.asm && c.InfiniteRegisters != p.base.infiniteReg {
+		if c.w == nil {
+			return 0, fmt.Errorf("boosting: %s: no workload to measure the scalar baseline on", c.Workload)
+		}
+		var err error
+		if bc, err = p.CompileWorkload(ctx, c.w); err != nil {
+			return 0, err
+		}
 	}
-	return p.scalars.Do(ctx, key, func() (int64, error) {
-		if hint > 0 && !p.base.infiniteReg && mem == nil {
-			return hint, nil
+	key := "perfect"
+	if mem != nil {
+		key = mem.Key()
+	}
+	computed := false
+	cycles, err := bc.scalars.Do(ctx, key, func() (int64, error) {
+		computed = true
+		if mem == nil && !p.base.infiniteReg {
+			if hint := max(c.scalarHint(), bc.scalarHint()); hint > 0 {
+				return hint, nil
+			}
 		}
-		c, err := p.Compile(ctx, workload)
+		sp, err := core.Schedule(bc.Program(), machine.Scalar(), core.Options{LocalOnly: true})
 		if err != nil {
-			return 0, err
+			return 0, bc.fail("on R2000", fmt.Errorf("scalar baseline schedule: %w", err))
 		}
-		sp, err := core.Schedule(c.Program(), machine.Scalar(), core.Options{LocalOnly: true})
+		p.schedules.Add(1)
+		res, err := sim.Exec(sp, sim.ExecConfig{MaxCycles: bc.maxCycles, Mem: mem})
 		if err != nil {
-			return 0, err
+			return 0, bc.fail("on R2000", fmt.Errorf("scalar baseline: %w", err))
 		}
-		p.schedPasses.Add(1)
-		res, err := sim.Exec(sp, sim.ExecConfig{Mem: mem})
-		if err != nil {
-			return 0, err
-		}
-		if err := verifyRun(c.ref, res.Out, res.MemHash); err != nil {
-			return 0, fmt.Errorf("boosting: %s scalar baseline: %w", workload, err)
+		p.countRun(res.Cycles, res.BoostedExec, res.Squashed)
+		if err := bc.Verify(res.Out, res.MemHash); err != nil {
+			return 0, bc.fail("on R2000", fmt.Errorf("scalar baseline: %w", err))
 		}
 		return res.Cycles, nil
 	})
+	switch {
+	case computed:
+		p.baseMisses.Add(1)
+	case err == nil:
+		p.baseHits.Add(1)
+	}
+	return cycles, err
+}
+
+// Counts reports the work a Pipeline has done.
+type Counts struct {
+	// Builds counts compiles that ran (memo and artifact-cache hits
+	// excluded).
+	Builds int64
+	// Schedules counts scheduler passes: variant misses plus
+	// scalar-baseline schedules.
+	Schedules int64
+	// Simulations counts completed machine runs — Simulate lanes, scalar
+	// baselines and dynamic runs — and SimCycles, BoostedExec and
+	// Squashed total their cycles and speculative activity.
+	Simulations int64
+	SimCycles   int64
+	BoostedExec int64
+	Squashed    int64
+}
+
+// Counts returns the pipeline's counters so far.
+func (p *Pipeline) Counts() Counts {
+	return Counts{
+		Builds:      p.builds.Load(),
+		Schedules:   p.schedules.Load(),
+		Simulations: p.sims.Load(),
+		SimCycles:   p.simCycles.Load(),
+		BoostedExec: p.boosted.Load(),
+		Squashed:    p.squashed.Load(),
+	}
+}
+
+// countRun records one completed machine run.
+func (p *Pipeline) countRun(cycles, boosted, squashed int64) {
+	p.sims.Add(1)
+	p.simCycles.Add(cycles)
+	p.boosted.Add(boosted)
+	p.squashed.Add(squashed)
+}
+
+// SchedulePasses reports how many times this pipeline has invoked the
+// scheduler (variant misses plus scalar-baseline builds). A fully warm
+// artifact start keeps it at zero.
+func (p *Pipeline) SchedulePasses() int64 { return p.schedules.Load() }
+
+// CacheStats reports the pipeline's cache activity: lookups of compiled
+// workloads and of scalar baselines served from a memo versus lookups
+// that ran the underlying computation. Servers exporting pipeline
+// metrics (cmd/boostd's /metrics) read their gauges from here.
+func (p *Pipeline) CacheStats() (hits, misses int64) {
+	ch, cm := p.compiles.Stats()
+	return ch + p.baseHits.Load(), cm + p.baseMisses.Load()
 }
 
 // GridCell is one (workload, model, options) point of a batch run.
@@ -533,21 +708,4 @@ feed:
 		return results, fmt.Errorf("boosting: grid aborted: %w", err)
 	}
 	return results, nil
-}
-
-// verifyRun compares a simulated run's observable output and final
-// memory against the reference interpreter's.
-func verifyRun(ref *sim.Result, out []uint32, memHash uint64) error {
-	if len(out) != len(ref.Out) {
-		return fmt.Errorf("verification failed: %d outputs, want %d", len(out), len(ref.Out))
-	}
-	for i := range out {
-		if out[i] != ref.Out[i] {
-			return fmt.Errorf("verification failed: out[%d] = %d, want %d", i, out[i], ref.Out[i])
-		}
-	}
-	if memHash != ref.MemHash {
-		return fmt.Errorf("verification failed: final memory differs")
-	}
-	return nil
 }

@@ -3,9 +3,13 @@ package boosting
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"boosting/internal/sim"
+	"boosting/internal/workloads"
 )
 
 // TestPipelineCompileMemoized: repeated and concurrent Compile calls for
@@ -197,6 +201,139 @@ func TestPipelineCancellation(t *testing.T) {
 	for i, r := range results {
 		if r.Err == nil && r.Result == nil {
 			t.Errorf("cell %d left with neither result nor error", i)
+		}
+	}
+}
+
+// TestVerifyHelper exercises the verification failure paths: a short
+// output stream, a wrong value and a wrong final memory each wrap
+// ErrVerification.
+func TestVerifyHelper(t *testing.T) {
+	c := &Compiled{ref: &sim.Result{Out: []uint32{1, 2}, MemHash: 42}}
+	if err := c.Verify([]uint32{1, 2}, 42); err != nil {
+		t.Errorf("matching run rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		out  []uint32
+		hash uint64
+	}{
+		{"short output", []uint32{1}, 42},
+		{"wrong output", []uint32{1, 3}, 42},
+		{"wrong memory", []uint32{1, 2}, 43},
+	} {
+		err := c.Verify(tc.out, tc.hash)
+		if err == nil {
+			t.Errorf("%s accepted", tc.name)
+			continue
+		}
+		if !errors.Is(err, ErrVerification) {
+			t.Errorf("%s: %v does not wrap ErrVerification", tc.name, err)
+		}
+	}
+}
+
+// TestCustomInputsGetTheirOwnCompile: two workloads named grep with
+// different inputs get different compiled programs and different scalar
+// baselines, neither of which is the registry grep's, and only the
+// registry grep may use the artifact cache.
+func TestCustomInputsGetTheirOwnCompile(t *testing.T) {
+	ctx := context.Background()
+	p := NewPipeline()
+	registry, err := p.Compile(ctx, WorkloadGrep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grep := func(seed int64, size int) *workloads.Workload {
+		return &workloads.Workload{
+			Name:  WorkloadGrep,
+			Build: workloads.Grep().Build,
+			Train: workloads.Input{Seed: seed + 1, Size: size / 2},
+			Test:  workloads.Input{Seed: seed, Size: size},
+		}
+	}
+	var compiled []*Compiled
+	var baselines []int64
+	for _, w := range []*workloads.Workload{grep(1234, 6000), grep(9876, 18000)} {
+		c, err := p.CompileWorkload(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := p.CompileWorkload(ctx, w)
+		if err != nil || again != c {
+			t.Errorf("inputs %+v: repeat compile not memoized (%v)", w.Test, err)
+		}
+		if c.artKey != "" {
+			t.Errorf("inputs %+v: custom-input compile has artifact-cache key %q", w.Test, c.artKey)
+		}
+		scalar, err := p.ScalarCycles(ctx, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled = append(compiled, c)
+		baselines = append(baselines, scalar)
+	}
+	base, err := p.ScalarCycles(ctx, registry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if registry.artKey == "" {
+		t.Error("registry grep has no artifact-cache key")
+	}
+	if compiled[0] == compiled[1] || compiled[0] == registry || compiled[1] == registry {
+		t.Error("workloads with different inputs share a compiled program")
+	}
+	if baselines[0] == baselines[1] || baselines[0] == base || baselines[1] == base {
+		t.Errorf("baselines collide: custom %v, registry %d", baselines, base)
+	}
+}
+
+// TestCompileAsmStageErrors: a parse failure is a *ParseError; every
+// later stage's failure keeps its stage prefix. Failing register
+// allocation or profiling takes seconds of allocator rounds or
+// interpreter steps, so those two cases skip under -short and the race
+// detector.
+func TestCompileAsmStageErrors(t *testing.T) {
+	// 300 values live at once need more spills than the allocator's
+	// round limit.
+	var pressure strings.Builder
+	pressure.WriteString(".proc main\nentry:\n")
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&pressure, "\tli v%d, %d\n", i, i)
+	}
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&pressure, "\tout v%d\n", i)
+	}
+	pressure.WriteString("\thalt\n")
+	// countdown halts after 2n+2 steps: within the reference run's bound
+	// below, past the profiling run's default bound of 100M.
+	const n = 50_000_001
+	countdown := fmt.Sprintf(".proc main\nentry:\n\tli v1, %d\n\t;fallthrough -> loop\nloop:\n"+
+		"\taddi v1, v1, -1\n\tbgtz v1, loop, done\ndone:\n\thalt\n", n)
+	cases := []struct {
+		name     string
+		asm      string
+		maxSteps int64
+		slow     bool
+		prefix   string
+	}{
+		{"regalloc", pressure.String(), 0, true, "regalloc: "},
+		{"reference run", ".proc main\nentry:\n\tli v1, 1\n\tj entry\n", 1000, false, "reference run: "},
+		{"profile", countdown, 2*n + 16, true, "profile: "},
+	}
+	p := NewPipeline()
+	ctx := context.Background()
+	var perr *ParseError
+	if _, err := p.CompileAsm(ctx, "not assembly ???", 0); !errors.As(err, &perr) || !strings.HasPrefix(err.Error(), "parse: ") {
+		t.Errorf("parse failure = %v (%T), want a *ParseError with the parse: prefix", err, err)
+	}
+	for _, tc := range cases {
+		if tc.slow && (testing.Short() || raceDetector) {
+			continue
+		}
+		_, err := p.CompileAsm(ctx, tc.asm, tc.maxSteps)
+		if err == nil || errors.As(err, &perr) || !strings.HasPrefix(err.Error(), tc.prefix) {
+			t.Errorf("%s: error %v, want the %q prefix and no *ParseError", tc.name, err, tc.prefix)
 		}
 	}
 }
