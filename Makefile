@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzOracle -fuzztime=60s ./internal/difftest/
 	$(GO) test -fuzz=FuzzFastCore -fuzztime=60s ./internal/difftest/
 	$(GO) test -fuzz=FuzzArtifactDecode -fuzztime=30s ./internal/artifact/
+	$(GO) test -fuzz=FuzzMemory -fuzztime=30s ./internal/sim/
 
 # fuzz-quick is the pre-commit-sized differential campaign: ten seconds
 # of random programs plus the reproducer corpus. `make all` runs it; use

@@ -231,3 +231,14 @@ func TestGridMemSweep(t *testing.T) {
 		t.Errorf("mem+mem_sweep = %d, want 400: %s", resp.StatusCode, b)
 	}
 }
+
+// TestSimulateUntouchedReserve: a body that reserves 128 MiB of BSS it
+// never touches simulates like any small program.
+func TestSimulateUntouchedReserve(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	asm, _ := json.Marshal(".reserve 67108864\n.reserve 67108864\n.proc main\nentry:\n\thalt\n")
+	resp, b := post(t, ts, "/v1/simulate", fmt.Sprintf(`{"asm": %s, "model": "MinBoost3"}`, asm))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("simulate = %d: %s", resp.StatusCode, b)
+	}
+}

@@ -166,7 +166,7 @@ func ExecOracle(sp *machine.SchedProgram, cfg ExecConfig) (*ExecResult, error) {
 		cfg:       &cfg,
 		model:     sp.Model,
 		regs:      make([]uint32, int(maxRegProgram(sp.Prog))+1),
-		mem:       SetupMemory(sp.Prog),
+		mem:       newImage(sp.Prog).newMemory(),
 		shadow:    newShadowFile(sp.Model.Boost),
 		stores:    &storeBuffer{cap: sp.Model.Boost.StoreBufferSize},
 		excbuf:    newExceptionBuffer(sp.Model.Boost.MaxLevel),

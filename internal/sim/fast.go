@@ -198,9 +198,15 @@ type fastState struct {
 
 	// One-entry page cache for the hot memory path. Only successful
 	// lookups are cached, so pages mapped later (e.g. by an OnFault
-	// handler) are picked up naturally.
+	// handler) are picked up naturally. cacheOwn records whether the run
+	// owns the cached page (cacheOwn implies cachePage != nil): loads may
+	// read a shared image or zero page through the cache, but the inline
+	// store path writes only an owned one. A write through Memory may
+	// replace a shared page with the run's copy, so the store-buffer
+	// commit and every OnFault callback drop a shared page (dropShared).
 	cachePN   uint32
 	cachePage *page
+	cacheOwn  bool
 
 	mh   *memhier.Hierarchy
 	spec specStallTracker
@@ -219,7 +225,7 @@ func getFastState(pd *Predecoded, cfg *ExecConfig) *fastState {
 	fs.pd = pd
 	fs.cfg = cfg
 	fs.res = &ExecResult{}
-	fs.mem = SetupMemory(pd.sprog.Prog)
+	fs.mem = pd.img.newMemory()
 	if cap(fs.regs) < pd.numRegs {
 		fs.regs = make([]uint32, pd.numRegs)
 		fs.regReady = make([]int64, pd.numRegs)
@@ -240,6 +246,7 @@ func getFastState(pd *Predecoded, cfg *ExecConfig) *fastState {
 	fs.excbuf.clear()
 	fs.cachePage = nil
 	fs.cachePN = 0
+	fs.cacheOwn = false
 	fs.mh = nil
 	// Always reset the speculative-stall tracker, not only when this run
 	// models a memory hierarchy: a pooled state may come from a memhier run
@@ -535,11 +542,11 @@ chain:
 					size := int(fi.size)
 					if fi.boost == 0 && fs.mh == nil &&
 						addr&uint32(size-1) == 0 &&
-						fs.cachePage != nil && fs.cachePN == addr/pageSize &&
+						fs.cacheOwn && fs.cachePN == addr/pageSize &&
 						int(addr%pageSize)+size <= pageSize {
 						// Sequential stores write memory directly even with
 						// buffered boosted stores outstanding, exactly as
-						// the generic path does.
+						// the generic path does. The run owns the page.
 						p, off := fs.cachePage, addr%pageSize
 						switch size {
 						case 1:
@@ -643,8 +650,9 @@ chain:
 				res.Correct++
 				var commitFault *Fault
 				fs.shadow.commit(regs)
-				if f := fs.stores.commit(fs.mem, fs.cfg.OnStore); f != nil {
-					commitFault = f
+				if fs.stores.outstanding() {
+					fs.dropShared()
+					commitFault = fs.stores.commit(fs.mem, fs.cfg.OnStore)
 				}
 				if fs.mh != nil {
 					fs.spec.commit()
@@ -720,19 +728,40 @@ func (fs *fastState) writeReg(r int32, level int, v uint32) error {
 	return nil
 }
 
+// dropShared empties the page cache if it holds a page the run does not
+// own, which a write through Memory may just have replaced with the
+// run's own copy.
+func (fs *fastState) dropShared() {
+	if !fs.cacheOwn {
+		fs.cachePage = nil
+	}
+}
+
+// onFault consults the user fault handler, reporting whether to retry.
+// The handler may write the run's Memory, so a shared cached page is
+// dropped.
+func (fs *fastState) onFault(f *Fault) bool {
+	if fs.cfg.OnFault == nil {
+		return false
+	}
+	retry := fs.cfg.OnFault(fs.mem, f)
+	fs.dropShared()
+	return retry
+}
+
 // memLoad reads through the one-entry page cache; cross-page accesses fall
-// back to the byte-wise Memory path.
+// back to the Memory path.
 func (fs *fastState) memLoad(addr uint32, size int) (uint32, bool) {
 	off := addr % pageSize
 	if int(off)+size <= pageSize {
 		pn := addr / pageSize
 		p := fs.cachePage
 		if p == nil || fs.cachePN != pn {
-			p = fs.mem.pages[pn]
-			if p == nil {
+			var own, ok bool
+			if p, own, ok = fs.mem.lookup(pn); !ok {
 				return 0, false
 			}
-			fs.cachePage, fs.cachePN = p, pn
+			fs.cachePage, fs.cachePN, fs.cacheOwn = p, pn, own
 		}
 		switch size {
 		case 1:
@@ -747,19 +776,19 @@ func (fs *fastState) memLoad(addr uint32, size int) (uint32, bool) {
 	return fs.mem.Load(addr, size)
 }
 
-// memStore writes through the page cache. The cross-page fallback keeps
-// Memory.Store's partial-write-then-fail behavior on unmapped tails.
+// memStore writes through the page cache, copying the page on the run's
+// first write to it. The cross-page fallback keeps Memory.Store's
+// partial-write-then-fail behavior on unmapped tails.
 func (fs *fastState) memStore(addr uint32, size int, v uint32) bool {
 	off := addr % pageSize
 	if int(off)+size <= pageSize {
 		pn := addr / pageSize
 		p := fs.cachePage
-		if p == nil || fs.cachePN != pn {
-			p = fs.mem.pages[pn]
-			if p == nil {
+		if !fs.cacheOwn || fs.cachePN != pn {
+			if p = fs.mem.writable(pn); p == nil {
 				return false
 			}
-			fs.cachePage, fs.cachePN = p, pn
+			fs.cachePage, fs.cachePN, fs.cacheOwn = p, pn, true
 		}
 		switch size {
 		case 1:
@@ -818,7 +847,7 @@ func (fs *fastState) loadValue(fb *fastBlock, fi *fastInst, ext *fastExt, addr u
 // preciseFault routes a sequential fault through the user handler; retry
 // re-runs the failing action.
 func (fs *fastState) preciseFault(f *Fault, retry func() *Fault) error {
-	if fs.cfg.OnFault != nil && fs.cfg.OnFault(fs.mem, f) {
+	if fs.onFault(f) {
 		if f2 := retry(); f2 != nil {
 			fs.res.Fault = f2
 			return f2
@@ -857,7 +886,7 @@ func (fs *fastState) execute(fb *fastBlock, fi *fastInst, ext *fastExt, a, c uin
 				fs.excbuf.set(int(fi.boost))
 				return false, fs.writeReg(fi.rd, int(fi.boost), 0)
 			}
-			if fs.cfg.OnFault != nil && fs.cfg.OnFault(fs.mem, f) {
+			if fs.onFault(f) {
 				v2, f2 := fs.loadValue(fb, fi, ext, addr, size)
 				if f2 != nil {
 					fs.res.Fault = f2

@@ -9,6 +9,7 @@ package sim_test
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"boosting/internal/core"
@@ -217,5 +218,47 @@ func TestFastCoreSteadyStateAllocFree(t *testing.T) {
 	// beyond a handful of amortized appends means the hot loop allocates.
 	if full-short > 16 {
 		t.Errorf("steady-state loop allocates: short run %.0f allocs, full run %.0f allocs", short, full)
+	}
+}
+
+// TestImageSharedByConcurrentRuns runs one Predecoded store-heavy kernel
+// from four goroutines at once, each doing a solo run and a 3-lane batch,
+// so every run and lane reads the same memory image while copying the
+// pages it writes. Every result must equal a solo run's, and the image's
+// digest recomputed from its pages must still match the stored one. Under
+// -race this also checks that no run writes the shared pages.
+func TestImageSharedByConcurrentRuns(t *testing.T) {
+	master := compileWorkload(t, "eqntott")
+	sp, err := core.Schedule(prog.Clone(master), machine.Boost7(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := sim.Predecode(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pd.Exec(sim.ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := pd.Exec(sim.ExecConfig{}); err != nil || !reflect.DeepEqual(res, want) {
+				t.Errorf("concurrent Exec = %+v, %v; want %+v", res, err, want)
+			}
+			results, errs := pd.ExecBatch(make([]sim.ExecConfig, 3))
+			for i, res := range results {
+				if errs[i] != nil || !reflect.DeepEqual(res, want) {
+					t.Errorf("concurrent batch lane %d = %+v, %v; want %+v", i, res, errs[i], want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if stored, recomputed := sim.ImageDigests(pd); stored != recomputed {
+		t.Errorf("image digest %#x, recomputed from its pages %#x", stored, recomputed)
 	}
 }

@@ -128,6 +128,7 @@ type fastBlock struct {
 // It is immutable after Predecode and safe for concurrent Exec calls.
 type Predecoded struct {
 	sprog   *machine.SchedProgram
+	img     *Image // initial memory, shared by every run
 	blocks  []fastBlock
 	cycles  []fastCycle
 	insts   []fastInst
@@ -168,6 +169,7 @@ func Predecode(sp *machine.SchedProgram) (*Predecoded, error) {
 	}
 	pd := &Predecoded{
 		sprog:       sp,
+		img:         newImage(sp.Prog),
 		numRegs:     int(maxRegProgram(sp.Prog)) + 1,
 		maxLevel:    sp.Model.Boost.MaxLevel,
 		multiShadow: sp.Model.Boost.MultiShadow,

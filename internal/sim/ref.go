@@ -104,20 +104,6 @@ type Result struct {
 	Fault *Fault
 }
 
-// SetupMemory builds and maps the initial memory image for a program.
-func SetupMemory(pr *prog.Program) *Memory {
-	m := NewMemory()
-	if len(pr.Data) > 0 {
-		m.WriteBytes(prog.DataBase, pr.Data)
-	}
-	if pr.BSS > 0 {
-		base := prog.DataBase + uint32(len(pr.Data))
-		m.Map(base, uint32(pr.BSS)+4)
-	}
-	m.Map(prog.StackTop-prog.StackSize, prog.StackSize)
-	return m
-}
-
 // Run executes the program sequentially from main's entry until HALT,
 // a fault, or the step bound. It is the semantic reference: every
 // scheduled configuration must reproduce its Out and MemHash exactly.
@@ -130,7 +116,7 @@ func Run(pr *prog.Program, cfg RefConfig) (*Result, error) {
 		maxSteps = 100_000_000
 	}
 	lt := buildLinkTable(pr)
-	mem := SetupMemory(pr)
+	mem := newImage(pr).newMemory()
 	regs := make([]uint32, int(maxRegProgram(pr))+1)
 	regs[isa.SP] = prog.StackTop
 

@@ -283,16 +283,23 @@ func TestR0AlwaysZero(t *testing.T) {
 	}
 }
 
+// memWith returns a memory that maps bs at addr and holds it there.
+func memWith(addr uint32, bs ...byte) *Memory {
+	m := NewMemory()
+	m.Map(addr, uint32(len(bs)))
+	for i, b := range bs {
+		m.StoreByte(addr+uint32(i), b)
+	}
+	return m
+}
+
 func TestMemorySnapshotDiffers(t *testing.T) {
-	m1 := NewMemory()
-	m1.WriteBytes(0x1000, []byte{1, 2, 3})
-	m2 := NewMemory()
-	m2.WriteBytes(0x1000, []byte{1, 2, 4})
+	m1 := memWith(0x1000, 1, 2, 3)
+	m2 := memWith(0x1000, 1, 2, 4)
 	if m1.Snapshot() == m2.Snapshot() {
 		t.Error("different memories must hash differently")
 	}
-	m3 := NewMemory()
-	m3.WriteBytes(0x1000, []byte{1, 2, 3})
+	m3 := memWith(0x1000, 1, 2, 3)
 	if m1.Snapshot() != m3.Snapshot() {
 		t.Error("identical memories must hash identically")
 	}
@@ -312,5 +319,23 @@ func TestMemoryMapBoundaries(t *testing.T) {
 	}
 	if _, ok := m.Load(pageSize-1, 1); !ok {
 		t.Error("load from mapped byte must succeed")
+	}
+	// A page-crossing store whose tail page is unmapped writes the head
+	// bytes, then fails.
+	if ok := m.Store(2*pageSize-2, 4, 0xAABBCCDD); ok {
+		t.Error("store into an unmapped tail page must fail")
+	}
+	if v, ok := m.Load(2*pageSize-2, 2); !ok || v != 0xCCDD {
+		t.Errorf("head bytes = %#x, %v; want 0xccdd, true", v, ok)
+	}
+	// A page-crossing load reads both pages.
+	if ok := m.Store(pageSize-2, 4, 0x11223344); !ok {
+		t.Error("store across two mapped pages must succeed")
+	}
+	if v, ok := m.Load(pageSize-2, 4); !ok || v != 0x11223344 {
+		t.Errorf("page-crossing load = %#x, %v; want 0x11223344, true", v, ok)
+	}
+	if _, ok := m.Load(2*pageSize-2, 4); ok {
+		t.Error("load into an unmapped tail page must fail")
 	}
 }

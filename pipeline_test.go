@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -335,5 +336,45 @@ func TestCompileAsmStageErrors(t *testing.T) {
 		if err == nil || errors.As(err, &perr) || !strings.HasPrefix(err.Error(), tc.prefix) {
 			t.Errorf("%s: error %v, want the %q prefix and no *ParseError", tc.name, err, tc.prefix)
 		}
+	}
+}
+
+// TestUntouchedReserveAllocatesNothing: a run pays only for the memory
+// pages it writes. The program reserves 128 MiB of BSS in two .reserve
+// lines and writes one word at each end of it; compiling and simulating
+// it (four runs: reference, profile, scalar baseline, model) must
+// allocate under 4 MiB in all.
+func TestUntouchedReserveAllocatesNothing(t *testing.T) {
+	const asm = `.reserve 67108864
+.reserve 67108864
+.proc main
+entry:
+	li v0, 0x10000
+	li v1, 7
+	sw v1, 0(v0)
+	li v2, 0x800fffc
+	sw v1, 0(v2)
+	lw v3, 0(v2)
+	out v3
+	halt
+`
+	ctx := context.Background()
+	p := NewPipeline()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := p.CompileAsm(ctx, asm, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Simulate(ctx, c, Models().Boost7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if len(res.Out) != 1 || res.Out[0] != 7 {
+		t.Errorf("out = %v, want [7]", res.Out)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 4<<20 {
+		t.Errorf("CompileAsm + Simulate allocated %.1f MiB, want < 4 MiB", float64(d)/(1<<20))
 	}
 }
