@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"boosting/internal/dataflow"
 	"boosting/internal/ddg"
@@ -287,7 +288,7 @@ func (s *scheduler) shadowVisible(st *traceState, n *ddg.Node, bi, level int) bo
 		if !affected {
 			continue
 		}
-		p := st.placed[e.From]
+		p := st.placementOf(e.From)
 		if p == nil || p.level == 0 {
 			continue
 		}
@@ -461,7 +462,7 @@ func (s *scheduler) compTarget(e dupEdge) (target *prog.Block, split bool) {
 // Compensation copies must not be appended to unscheduled trace blocks
 // (their dependence graphs are already built), so such edges are split.
 func (s *scheduler) inCurrentTrace(b *prog.Block) bool {
-	return s.curTrace[b.ID]
+	return slices.Contains(s.curTrace, b)
 }
 
 // insertBeforeTerminator appends in, keeping any terminator last.

@@ -14,7 +14,6 @@ import (
 
 	"boosting/internal/dataflow"
 	"boosting/internal/ddg"
-	"boosting/internal/isa"
 	"boosting/internal/machine"
 	"boosting/internal/profile"
 	"boosting/internal/prog"
@@ -148,12 +147,7 @@ func parseTrace(t *testing.T, asm string, model *machine.Model, blockIdx ...int)
 		scheduled: map[int]bool{},
 		splits:    map[splitKey]*prog.Block{},
 	}
-	st := &traceState{
-		trace:   trace,
-		g:       ddg.Build(trace, ddg.Options{}),
-		placed:  map[*ddg.Node]*placement{},
-		instSeq: map[*isa.Inst]int{},
-	}
+	st := newTraceState(trace, ddg.Build(trace, ddg.Options{}), model.IssueWidth)
 	return s, st
 }
 
@@ -248,7 +242,7 @@ done:
 		// levels; any consumer boosted across entry's single branch sees
 		// at most level 1 < 3.
 		producer := nodeAt(t, st, 1, 0)
-		st.placed[producer] = &placement{blockIdx: 0, level: 3}
+		st.mark(producer, placement{blockIdx: 0, level: 3})
 
 		load := nodeAt(t, st, 1, 1) // lw v5, 0(v3): needs boosting itself
 		plan, why := s.planMotion(st, load, 0, false)

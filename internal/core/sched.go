@@ -37,16 +37,13 @@ package core
 
 import (
 	"fmt"
-	"os"
+	"slices"
 
 	"boosting/internal/dataflow"
 	"boosting/internal/isa"
 	"boosting/internal/machine"
 	"boosting/internal/prog"
 )
-
-// debugLog enables scheduler tracing via BOOSTDEBUG=1 (development aid).
-var debugLog = os.Getenv("BOOSTDEBUG") != ""
 
 // Options tunes the scheduler; the zero value is the paper's full
 // configuration for whatever model is passed.
@@ -197,7 +194,6 @@ func (s *scheduler) selectTrace(reg *dataflow.Region) []*prog.Block {
 	if s.opts.LocalOnly {
 		return trace
 	}
-	inTrace := map[int]bool{seed.ID: true}
 	for len(trace) < s.opts.MaxTraceBlocks {
 		cur := trace[len(trace)-1]
 		t := cur.Terminator()
@@ -208,11 +204,10 @@ func (s *scheduler) selectTrace(reg *dataflow.Region) []*prog.Block {
 		if next == nil || next.Recovery {
 			break
 		}
-		if inTrace[next.ID] || s.scheduled[next.ID] || !s.inRegion(reg, next) {
+		if slices.Contains(trace, next) || s.scheduled[next.ID] || !s.inRegion(reg, next) {
 			break
 		}
 		trace = append(trace, next)
-		inTrace[next.ID] = true
 	}
 	return trace
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"boosting/internal/dataflow"
 	"boosting/internal/ddg"
@@ -35,7 +37,9 @@ type scheduler struct {
 	scheduled map[int]bool
 	splits    map[splitKey]*prog.Block
 	region    *dataflow.Region
-	curTrace  map[int]bool
+	curTrace  []*prog.Block
+	// ddg keeps the dependence-graph builder's tables from trace to trace.
+	ddg ddg.Builder
 }
 
 // placement records where a DDG node landed.
@@ -56,48 +60,93 @@ type boostRec struct {
 	endIdx   int // trace block index of the committing branch
 }
 
-// traceState is the working state for one trace.
+// nodeState is the list scheduler's state for one DDG node.
+type nodeState struct {
+	// height is the node's critical-path height (latency-weighted longest
+	// path to a DDG leaf), the primary list-scheduling priority.
+	height int
+	// pending counts the node's pred edges whose producer is still
+	// unplaced; readyAt is the largest placement.abs + Latency over the
+	// edges whose producer is placed. mark keeps both current.
+	pending int
+	readyAt int
+	placed  bool
+	at      placement
+}
+
+// packing is one native tryFinish fits around the terminator.
+type packing struct {
+	n       *ddg.Node
+	inDelay bool
+	slot    int
+}
+
+// traceState is the working state for one trace. Per-node state is in
+// arrays indexed by ddg.Node.Seq, which is each node's index in g.Nodes.
 type traceState struct {
-	trace   []*prog.Block
-	g       *ddg.Graph
-	height  map[*ddg.Node]int
-	placed  map[*ddg.Node]*placement
+	trace []*prog.Block
+	g     *ddg.Graph
+	// start[bi] is the Seq of trace block bi's first node, and
+	// start[len(trace)] is len(g.Nodes).
+	start   []int
+	ns      []nodeState
 	sblocks []*machine.SchedBlock
 	nextAbs int
 	boosted []boostRec
-	// instSeq maps each emitted instruction to its original trace
-	// sequence number, for the sequential linearization of
-	// rewriteTraceInsts.
-	instSeq map[*isa.Inst]int
+
+	// insts holds each placed node's instruction copy, indexed by Seq;
+	// the schedule's slots point into it. slots is the unused tail of the
+	// slab that cycles' slots are cut from.
+	insts []isa.Inst
+	slots []*isa.Inst
+
+	// Scratch reused from cycle to cycle; the schedule keeps none of it.
+	natives                  []*ddg.Node
+	free, curFree, delayFree []bool
+	packs                    []packing
+}
+
+// newTraceState sets up the per-node state of graph g for a machine of
+// the given issue width: every node unplaced, with its height and its
+// pred-edge count.
+func newTraceState(trace []*prog.Block, g *ddg.Graph, width int) *traceState {
+	st := &traceState{
+		trace:   trace,
+		g:       g,
+		start:   make([]int, len(trace)+1),
+		ns:      make([]nodeState, len(g.Nodes)),
+		insts:   make([]isa.Inst, len(g.Nodes)),
+		sblocks: make([]*machine.SchedBlock, 0, len(trace)),
+	}
+	free := make([]bool, 3*width)
+	st.free, st.curFree, st.delayFree = free[:width], free[width:2*width], free[2*width:]
+	for bi, nodes := range g.ByBlock {
+		st.start[bi+1] = st.start[bi] + len(nodes)
+	}
+	for i := len(g.Nodes) - 1; i >= 0; i-- {
+		n := g.Nodes[i]
+		best := 0
+		for _, e := range n.Succs {
+			if v := e.Latency + st.ns[e.To.Seq].height; v > best {
+				best = v
+			}
+		}
+		st.ns[i] = nodeState{height: best, pending: len(n.Preds), readyAt: math.MinInt}
+	}
+	return st
 }
 
 // scheduleTrace list-schedules every block of the trace top-down, filling
 // holes through upward code motion, then emits recovery code and rewrites
 // the trace blocks' instruction lists to match the executed code.
 func (s *scheduler) scheduleTrace(trace []*prog.Block) error {
-	if debugLog {
-		ids := make([]int, len(trace))
-		for i, b := range trace {
-			ids[i] = b.ID
-		}
-		fmt.Printf("TRACE %v\n", ids)
-	}
 	s.stats.TracesFormed++
 	s.stats.TraceBlocks += int64(len(trace))
-	s.curTrace = map[int]bool{}
-	for _, b := range trace {
-		s.curTrace[b.ID] = true
-	}
+	s.curTrace = trace
 	stop := stageTimer(&s.stats.DDGBuildSeconds)
-	g := ddg.Build(trace, ddg.Options{NoDisambiguation: s.opts.NoDisambiguation})
+	g := s.ddg.Build(trace, ddg.Options{NoDisambiguation: s.opts.NoDisambiguation})
 	stop()
-	st := &traceState{
-		trace:   trace,
-		g:       g,
-		height:  computeHeights(g),
-		placed:  map[*ddg.Node]*placement{},
-		instSeq: map[*isa.Inst]int{},
-	}
+	st := newTraceState(trace, g, s.model.IssueWidth)
 	stop = stageTimer(&s.stats.ListScheduleSeconds)
 	for bi := range trace {
 		if err := s.scheduleBlock(st, bi); err != nil {
@@ -122,40 +171,44 @@ func (s *scheduler) scheduleTrace(trace []*prog.Block) error {
 	return nil
 }
 
-// computeHeights returns each node's critical-path height (latency-weighted
-// longest path to a DDG leaf), the primary list-scheduling priority.
-func computeHeights(g *ddg.Graph) map[*ddg.Node]int {
-	h := make(map[*ddg.Node]int, len(g.Nodes))
-	for i := len(g.Nodes) - 1; i >= 0; i-- {
-		n := g.Nodes[i]
-		best := 0
-		for _, e := range n.Succs {
-			if v := e.Latency + h[e.To]; v > best {
-				best = v
-			}
+// mark records n's placement and brings its consumers' readiness up to
+// date: each succ edge is one pending edge fewer, and its consumer may
+// issue no earlier than p.abs plus the edge's latency.
+func (st *traceState) mark(n *ddg.Node, p placement) {
+	ns := &st.ns[n.Seq]
+	ns.placed, ns.at = true, p
+	for _, e := range n.Succs {
+		c := &st.ns[e.To.Seq]
+		c.pending--
+		if t := p.abs + e.Latency; t > c.readyAt {
+			c.readyAt = t
 		}
-		h[n] = best
 	}
-	return h
 }
+
+// placementOf returns n's placement, or nil while n is unplaced.
+func (st *traceState) placementOf(n *ddg.Node) *placement {
+	if ns := &st.ns[n.Seq]; ns.placed {
+		return &ns.at
+	}
+	return nil
+}
+
+// isPlaced reports whether n has been placed.
+func (st *traceState) isPlaced(n *ddg.Node) bool { return st.ns[n.Seq].placed }
 
 // ready reports whether node n may issue at absolute cycle abs: every
 // dependence predecessor is placed and its latency satisfied.
 func (st *traceState) ready(n *ddg.Node, abs int) bool {
-	for _, e := range n.Preds {
-		p := st.placed[e.From]
-		if p == nil || p.abs+e.Latency > abs {
-			return false
-		}
-	}
-	return true
+	ns := &st.ns[n.Seq]
+	return ns.pending == 0 && ns.readyAt <= abs
 }
 
 // notReadyReason buckets a failed ready() check: memory-dep if any
 // unsatisfied edge is a memory dependence, plain dependence otherwise.
 func (st *traceState) notReadyReason(n *ddg.Node, abs int) string {
 	for _, e := range n.Preds {
-		p := st.placed[e.From]
+		p := st.placementOf(e.From)
 		if (p == nil || p.abs+e.Latency > abs) && e.Kind == ddg.DepMem {
 			return RejectMemoryDep
 		}
@@ -163,18 +216,27 @@ func (st *traceState) notReadyReason(n *ddg.Node, abs int) string {
 	return RejectDependence
 }
 
+// newCycle returns an empty cycle of the given width. Its slots are cut
+// from a slab the trace's schedule keeps.
+func (st *traceState) newCycle(width int) machine.Cycle {
+	if len(st.slots) < width {
+		st.slots = make([]*isa.Inst, width*(len(st.g.Nodes)+4))
+	}
+	cy := machine.Cycle{Slots: st.slots[:width:width]}
+	st.slots = st.slots[width:]
+	return cy
+}
+
 // scheduleBlock emits the machine schedule for trace block bi.
 func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 	b := st.trace[bi]
-	sb := &machine.SchedBlock{Block: b}
-	st.sblocks = append(st.sblocks, sb)
 	width := s.model.IssueWidth
 
 	// Natives of this block that are still unplaced, terminator separate.
-	var natives []*ddg.Node
+	natives := st.natives[:0]
 	var term *ddg.Node
 	for _, n := range st.g.ByBlock[bi] {
-		if st.placed[n] != nil {
+		if st.isPlaced(n) {
 			continue
 		}
 		if n.IsTerm {
@@ -183,7 +245,9 @@ func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 			natives = append(natives, n)
 		}
 	}
-	byPriority(natives, st.height)
+	st.byPriority(natives)
+	sb := &machine.SchedBlock{Block: b, Cycles: make([]machine.Cycle, 0, len(natives)+2)}
+	st.sblocks = append(st.sblocks, sb)
 
 	absBase := st.nextAbs
 	cycle := 0
@@ -193,13 +257,14 @@ func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 			return fmt.Errorf("block B%d: scheduler did not converge (dependence cycle?)", b.ID)
 		}
 		abs := absBase + cycle
-		cy := machine.Cycle{Slots: make([]*isa.Inst, width)}
-		free := make([]bool, width)
+		cy := st.newCycle(width)
+		free := st.free
 		for i := range free {
 			free[i] = true
 		}
 
-		remaining := unplacedOf(st, natives)
+		natives = st.unplaced(natives)
+		remaining := natives
 
 		// Try to finish the block: place the terminator here if its
 		// dependences allow and every remaining native provably fits into
@@ -222,7 +287,7 @@ func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 		// critical load.
 		for _, memFirst := range []bool{true, false} {
 			for _, n := range remaining {
-				if st.placed[n] != nil || isa.ClassOf(n.Inst.Op) == isa.ClassMem != memFirst {
+				if st.isPlaced(n) || isa.ClassOf(n.Inst.Op) == isa.ClassMem != memFirst {
 					continue
 				}
 				if !st.ready(n, abs) {
@@ -232,28 +297,30 @@ func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 				if slot < 0 {
 					continue
 				}
-				s.place(st, n, bi, sb, &cy, slot, cycle, abs, 0)
+				s.place(st, n, bi, &cy, slot, cycle, abs, 0)
 				free[slot] = false
 			}
 		}
 
 		// Fill remaining holes with foreign instructions from later trace
 		// blocks (global code motion).
-		s.fillForeign(st, bi, sb, &cy, free, cycle, abs, false)
+		s.fillForeign(st, bi, &cy, free, cycle, abs, false)
 
 		sb.Cycles = append(sb.Cycles, cy)
 		cycle++
 	}
+	st.natives = natives[:0]
 
 	st.nextAbs = absBase + len(sb.Cycles)
 	return nil
 }
 
-// unplacedOf filters the still-unplaced nodes, preserving priority order.
-func unplacedOf(st *traceState, nodes []*ddg.Node) []*ddg.Node {
-	out := nodes[:0:0]
+// unplaced drops the nodes placed since the last call, in place,
+// preserving priority order.
+func (st *traceState) unplaced(nodes []*ddg.Node) []*ddg.Node {
+	out := nodes[:0]
 	for _, n := range nodes {
-		if st.placed[n] == nil {
+		if !st.isPlaced(n) {
 			out = append(out, n)
 		}
 	}
@@ -262,13 +329,12 @@ func unplacedOf(st *traceState, nodes []*ddg.Node) []*ddg.Node {
 
 // byPriority sorts nodes by descending critical-path height, then original
 // order.
-func byPriority(nodes []*ddg.Node, height map[*ddg.Node]int) {
-	sort.SliceStable(nodes, func(i, j int) bool {
-		hi, hj := height[nodes[i]], height[nodes[j]]
-		if hi != hj {
-			return hi > hj
+func (st *traceState) byPriority(nodes []*ddg.Node) {
+	slices.SortStableFunc(nodes, func(a, b *ddg.Node) int {
+		if ha, hb := st.ns[a.Seq].height, st.ns[b.Seq].height; ha != hb {
+			return cmp.Compare(hb, ha)
 		}
-		return nodes[i].Seq < nodes[j].Seq
+		return cmp.Compare(a.Seq, b.Seq)
 	})
 }
 
@@ -291,18 +357,14 @@ func (s *scheduler) tryFinish(st *traceState, bi int, sb *machine.SchedBlock,
 
 	// Tentatively pack remaining natives: current-cycle leftovers first
 	// (must be ready now), then delay-cycle slots (ready next cycle).
-	curFree := append([]bool(nil), free...)
+	curFree := st.curFree
+	copy(curFree, free)
 	curFree[termSlot] = false
-	delayFree := make([]bool, width)
+	delayFree := st.delayFree
 	for i := range delayFree {
 		delayFree[i] = hasDelay
 	}
-	type packing struct {
-		n       *ddg.Node
-		inDelay bool
-		slot    int
-	}
-	var packs []packing
+	packs := st.packs[:0]
 	for _, n := range remaining {
 		c := isa.ClassOf(n.Inst.Op)
 		if st.ready(n, abs) {
@@ -319,37 +381,32 @@ func (s *scheduler) tryFinish(st *traceState, bi int, sb *machine.SchedBlock,
 				continue
 			}
 		}
+		st.packs = packs
 		return false, nil // cannot finish this cycle
 	}
+	st.packs = packs
 
-	// Commit: terminator, then packed natives.
-	s.place(st, term, bi, sb, cy, termSlot, cycle, abs, 0)
+	// Commit: terminator, then packed natives. curFree and delayFree now
+	// hold exactly the slots the commit leaves free.
+	s.place(st, term, bi, cy, termSlot, cycle, abs, 0)
 	var delay machine.Cycle
 	if hasDelay {
-		delay = machine.Cycle{Slots: make([]*isa.Inst, width)}
-	}
-	freeNow := append([]bool(nil), free...)
-	freeNow[termSlot] = false
-	freeDelay := make([]bool, width)
-	for i := range freeDelay {
-		freeDelay[i] = hasDelay
+		delay = st.newCycle(width)
 	}
 	for _, pk := range packs {
 		if pk.inDelay {
-			s.place(st, pk.n, bi, sb, &delay, pk.slot, cycle+1, abs+1, 0)
-			freeDelay[pk.slot] = false
+			s.place(st, pk.n, bi, &delay, pk.slot, cycle+1, abs+1, 0)
 		} else {
-			s.place(st, pk.n, bi, sb, cy, pk.slot, cycle, abs, 0)
-			freeNow[pk.slot] = false
+			s.place(st, pk.n, bi, cy, pk.slot, cycle, abs, 0)
 		}
 	}
 
 	// The branch-issue cycle and the delay cycle are the Squashing
 	// model's shadow zone: fill leftovers with foreign instructions.
-	s.fillForeign(st, bi, sb, cy, freeNow, cycle, abs, true)
+	s.fillForeign(st, bi, cy, curFree, cycle, abs, true)
 	sb.Cycles = append(sb.Cycles, *cy)
 	if hasDelay {
-		s.fillForeign(st, bi, sb, &delay, freeDelay, cycle+1, abs+1, true)
+		s.fillForeign(st, bi, &delay, delayFree, cycle+1, abs+1, true)
 		sb.Cycles = append(sb.Cycles, delay)
 	}
 	return true, nil
@@ -358,20 +415,19 @@ func (s *scheduler) tryFinish(st *traceState, bi int, sb *machine.SchedBlock,
 // place records node n at (blockIdx bi, cycle) in slot slot with the given
 // boosting level and writes the instruction into the cycle.
 func (s *scheduler) place(st *traceState, n *ddg.Node, bi int,
-	sb *machine.SchedBlock, cy *machine.Cycle, slot, cycle, abs, level int) {
-	in := n.Inst // copy
+	cy *machine.Cycle, slot, cycle, abs, level int) {
+	in := &st.insts[n.Seq]
+	*in = n.Inst
 	in.Boost = level
-	cy.Slots[slot] = &in
-	st.instSeq[&in] = n.Seq
-	st.placed[n] = &placement{blockIdx: bi, cycle: cycle, abs: abs, level: level}
-	_ = sb
+	cy.Slots[slot] = in
+	st.mark(n, placement{blockIdx: bi, cycle: cycle, abs: abs, level: level})
 }
 
 // fillForeign fills the free slots of cy with instructions moved up from
 // later trace blocks. shadowZone marks the branch-issue and delay cycles
 // (the only positions the Squashing model may boost into).
-func (s *scheduler) fillForeign(st *traceState, bi int, sb *machine.SchedBlock,
-	cy *machine.Cycle, free []bool, cycle, abs int, shadowZone bool) {
+func (s *scheduler) fillForeign(st *traceState, bi int, cy *machine.Cycle,
+	free []bool, cycle, abs int, shadowZone bool) {
 
 	if s.opts.LocalOnly {
 		return
@@ -380,23 +436,17 @@ func (s *scheduler) fillForeign(st *traceState, bi int, sb *machine.SchedBlock,
 		if !free[slot] {
 			continue
 		}
-		best := s.bestForeign(st, bi, slot, abs, shadowZone)
-		if best == nil {
+		n, plan := s.bestForeign(st, bi, slot, abs, shadowZone)
+		if n == nil {
 			continue
 		}
-		plan := best.plan
-		n := best.node
 		// Perform bookkeeping: duplication on off-trace edges of crossed
 		// joins (unless the move is between control/data-equivalent
 		// blocks).
 		if len(plan.dupEdges) > 0 {
 			s.duplicate(n, plan.dupEdges)
 		}
-		if debugLog {
-			fmt.Printf("  MOTION %s: B%d <- B%d level=%d dups=%d\n",
-				n.Inst.String(), st.trace[bi].ID, n.Block.ID, plan.level, len(plan.dupEdges))
-		}
-		s.place(st, n, bi, sb, cy, slot, cycle, abs, plan.level)
+		s.place(st, n, bi, cy, slot, cycle, abs, plan.level)
 		free[slot] = false
 		s.stats.placed(plan.level)
 		if plan.level > 0 {
@@ -411,14 +461,9 @@ func (s *scheduler) fillForeign(st *traceState, bi int, sb *machine.SchedBlock,
 	}
 }
 
-// candidate pairs a movable node with its motion plan.
-type candidate struct {
-	node *ddg.Node
-	plan *motionPlan
-}
-
 // bestForeign returns the best foreign node that is ready,
-// class-compatible with the slot, and legally movable to block bi.
+// class-compatible with the slot, and legally movable to block bi, with
+// its motion plan, or a nil node.
 //
 // Priority is critical-path height minus a boosting-level penalty: a
 // deeply boosted instruction commits only if several predictions hold
@@ -428,13 +473,15 @@ type candidate struct {
 // can execute memory operations — the machine's single memory port —
 // memory candidates are preferred over anything else, since an ALU
 // instruction can issue from the other side but a load cannot.
-func (s *scheduler) bestForeign(st *traceState, bi, slot, abs int, shadowZone bool) *candidate {
-	var best *candidate
+// Candidates are walked in Seq order and the first of equal score wins.
+func (s *scheduler) bestForeign(st *traceState, bi, slot, abs int, shadowZone bool) (*ddg.Node, *motionPlan) {
+	var best *ddg.Node
+	var bestPlan *motionPlan
 	bestScore := -1 << 30
 	bestMem := false
 	memSlot := s.model.Slots[slot].Has(isa.ClassMem)
-	for _, n := range st.g.Nodes {
-		if n.BlockIdx <= bi || st.placed[n] != nil || n.IsTerm {
+	for _, n := range st.g.Nodes[st.start[bi+1]:] {
+		if st.isPlaced(n) || n.IsTerm {
 			continue
 		}
 		c := isa.ClassOf(n.Inst.Op)
@@ -456,17 +503,17 @@ func (s *scheduler) bestForeign(st *traceState, bi, slot, abs int, shadowZone bo
 			s.stats.reject(why)
 			continue
 		}
-		score := st.height[n] - 3*plan.level
+		score := st.ns[n.Seq].height - 3*plan.level
 		if best != nil && bestMem == isMem && score <= bestScore {
 			continue
 		}
 		if best == nil || (memSlot && isMem && !bestMem) || (bestMem == isMem && score > bestScore) {
-			best = &candidate{node: n, plan: plan}
+			best, bestPlan = n, plan
 			bestScore = score
 			bestMem = isMem
 		}
 	}
-	return best
+	return best, bestPlan
 }
 
 func destOf(in *isa.Inst) isa.Reg {
@@ -487,32 +534,44 @@ func destOf(in *isa.Inst) isa.Reg {
 // pair is only sequentially faithful with the reader first. The
 // terminator moves to the end (delay-slot instructions execute before the
 // transfer, so this linearization is semantically faithful).
+//
+// The order comes from the placements: every node is placed by the end of
+// its trace, and sorting the nodes by (placement block, cycle, Seq) gives
+// each block's issue order.
 func rewriteTraceInsts(st *traceState) {
+	order := slices.Clone(st.g.Nodes)
+	slices.SortFunc(order, func(x, y *ddg.Node) int {
+		px, py := &st.ns[x.Seq].at, &st.ns[y.Seq].at
+		if c := cmp.Compare(px.blockIdx, py.blockIdx); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(px.cycle, py.cycle); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Seq, y.Seq)
+	})
+	arena := make([]isa.Inst, 0, len(order))
 	for bi, b := range st.trace {
-		sb := st.sblocks[bi]
-		var insts []isa.Inst
+		lo := len(arena)
 		var term *isa.Inst
-		for ci := range sb.Cycles {
-			slots := make([]*isa.Inst, 0, len(sb.Cycles[ci].Slots))
-			for _, in := range sb.Cycles[ci].Slots {
-				if in != nil && in.Op != isa.NOP {
-					slots = append(slots, in)
-				}
+		for ; len(order) > 0 && st.ns[order[0].Seq].at.blockIdx == bi; order = order[1:] {
+			in := &st.insts[order[0].Seq]
+			if in.Op == isa.NOP {
+				continue
 			}
-			sort.SliceStable(slots, func(i, j int) bool {
-				return st.instSeq[slots[i]] < st.instSeq[slots[j]]
-			})
-			for _, in := range slots {
-				if isa.IsControl(in.Op) {
-					term = in
-					continue
-				}
-				insts = append(insts, *in)
+			if isa.IsControl(in.Op) {
+				term = in
+				continue
 			}
+			arena = append(arena, *in)
 		}
 		if term != nil {
-			insts = append(insts, *term)
+			arena = append(arena, *term)
 		}
-		b.Insts = insts
+		if len(arena) == lo {
+			b.Insts = nil
+			continue
+		}
+		b.Insts = arena[lo:len(arena):len(arena)]
 	}
 }

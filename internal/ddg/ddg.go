@@ -14,6 +14,7 @@ package ddg
 
 import (
 	"fmt"
+	"slices"
 
 	"boosting/internal/isa"
 	"boosting/internal/prog"
@@ -103,22 +104,6 @@ type Options struct {
 	NoDisambiguation bool
 }
 
-// addEdge links from → to with the given kind and latency, skipping
-// duplicates of identical kind.
-func addEdge(from, to *Node, kind DepKind, latency int) {
-	for _, e := range from.Succs {
-		if e.To == to && e.Kind == kind {
-			if latency > e.Latency {
-				e.Latency = latency
-			}
-			return
-		}
-	}
-	e := &Edge{From: from, To: to, Kind: kind, Latency: latency}
-	from.Succs = append(from.Succs, e)
-	to.Preds = append(to.Preds, e)
-}
-
 // memRef describes a memory access for disambiguation: address = base
 // register version + constant offset.
 type memRef struct {
@@ -138,116 +123,191 @@ func (a memRef) overlaps(b memRef) bool {
 	return true
 }
 
-// Build constructs the dependence graph for the trace.
+// A Builder builds dependence graphs. It keeps its working tables from
+// one graph to the next, so a scheduler that builds a graph per trace
+// allocates little beyond the graphs themselves. The zero value is ready
+// to use; a Builder is not safe for concurrent use.
+type Builder struct {
+	// edges collects the graph's edges. Every edge into a node is added
+	// while that node is being built, so a node's incoming edges are one
+	// contiguous run; predEnd[seq] is the index one past node seq's run,
+	// and first is the start of the current node's.
+	edges   []Edge
+	predEnd []int
+	first   int
+
+	// Register tables, indexed by register number: sized for the
+	// architectural registers and grown on demand for virtual ones.
+	lastDef  []*Node
+	lastUses [][]*Node
+	regVer   []int
+
+	stores, loads       []*Node
+	storeRefs, loadRefs []memRef
+	uses, defs          []isa.Reg
+}
+
+// reg grows the register tables to hold r.
+func (b *Builder) reg(r isa.Reg) int {
+	i := int(r)
+	for i >= len(b.lastDef) {
+		b.lastDef = append(b.lastDef, nil)
+		b.lastUses = append(b.lastUses, nil)
+		b.regVer = append(b.regVer, 0)
+	}
+	return i
+}
+
+// reset empties the working tables for a new graph.
+func (b *Builder) reset(total int) {
+	if b.lastDef == nil {
+		b.lastDef = make([]*Node, isa.NumArchRegs)
+		b.lastUses = make([][]*Node, isa.NumArchRegs)
+		b.regVer = make([]int, isa.NumArchRegs)
+	}
+	clear(b.lastDef)
+	for i := range b.lastUses {
+		b.lastUses[i] = b.lastUses[i][:0]
+	}
+	clear(b.regVer)
+	b.edges = b.edges[:0]
+	b.predEnd = slices.Grow(b.predEnd[:0], total)[:total]
+	b.stores, b.loads = b.stores[:0], b.loads[:0]
+	b.storeRefs, b.loadRefs = b.storeRefs[:0], b.loadRefs[:0]
+}
+
+// addEdge links from → to, the node being built, with the given kind and
+// latency. An edge with the same ends and kind is merged, keeping the
+// larger latency.
+func (b *Builder) addEdge(from, to *Node, kind DepKind, latency int) {
+	for i := b.first; i < len(b.edges); i++ {
+		if e := &b.edges[i]; e.From == from && e.Kind == kind {
+			if latency > e.Latency {
+				e.Latency = latency
+			}
+			return
+		}
+	}
+	b.edges = append(b.edges, Edge{From: from, To: to, Kind: kind, Latency: latency})
+}
+
+// Build constructs the dependence graph for the trace with a fresh
+// Builder.
 func Build(trace []*prog.Block, opts Options) *Graph {
-	g := &Graph{ByBlock: make([][]*Node, len(trace))}
+	return new(Builder).Build(trace, opts)
+}
 
-	lastDef := map[isa.Reg]*Node{}
-	lastUses := map[isa.Reg][]*Node{}
-	regVer := map[isa.Reg]int{}
+// Build constructs the dependence graph for the trace. The graph shares
+// nothing with the Builder.
+func (b *Builder) Build(trace []*prog.Block, opts Options) *Graph {
+	total := 0
+	for _, blk := range trace {
+		total += len(blk.Insts)
+	}
+	b.reset(total)
+	nodes := make([]Node, total)
+	g := &Graph{Nodes: make([]*Node, total), ByBlock: make([][]*Node, len(trace))}
 
-	var stores []*Node
-	var storeRefs []memRef
-	var loads []*Node
-	var loadRefs []memRef
 	var lastOut *Node
 	var lastBarrier *Node // JAL: everything is ordered around it
 
-	var uses, defs []isa.Reg
 	seq := 0
-	for bi, b := range trace {
-		for ii := range b.Insts {
-			in := b.Insts[ii]
-			n := &Node{
+	for bi, blk := range trace {
+		blockStart := seq
+		for ii := range blk.Insts {
+			in := blk.Insts[ii]
+			n := &nodes[seq]
+			*n = Node{
 				Inst:     in,
-				Block:    b,
+				Block:    blk,
 				BlockIdx: bi,
 				InstIdx:  ii,
 				Seq:      seq,
-				IsTerm:   ii == len(b.Insts)-1 && isa.IsControl(in.Op),
+				IsTerm:   ii == len(blk.Insts)-1 && isa.IsControl(in.Op),
 			}
-			seq++
-			g.Nodes = append(g.Nodes, n)
-			g.ByBlock[bi] = append(g.ByBlock[bi], n)
+			g.Nodes[seq] = n
+			b.first = len(b.edges)
 
 			// Barrier ordering: nothing moves across a call.
 			if lastBarrier != nil {
-				addEdge(lastBarrier, n, DepOrder, 1)
+				b.addEdge(lastBarrier, n, DepOrder, 1)
 			}
 
 			// Register dependences. Calls implicitly read the argument
 			// registers and the stack pointer and define the linkage
 			// registers (the Uses/Defs accessors list only explicit
 			// operands).
-			uses = n.Inst.Uses(uses[:0])
+			b.uses = n.Inst.Uses(b.uses[:0])
 			if in.Op == isa.JAL {
-				uses = append(uses, isa.A0, isa.A1, isa.A2, isa.A3, isa.SP)
+				b.uses = append(b.uses, isa.A0, isa.A1, isa.A2, isa.A3, isa.SP)
 			}
-			for _, r := range uses {
+			for _, r := range b.uses {
 				if r == isa.R0 {
 					continue
 				}
-				if d := lastDef[r]; d != nil {
-					addEdge(d, n, DepTrue, isa.Latency(d.Inst.Op))
+				ri := b.reg(r)
+				if d := b.lastDef[ri]; d != nil {
+					b.addEdge(d, n, DepTrue, isa.Latency(d.Inst.Op))
 				}
-				lastUses[r] = append(lastUses[r], n)
+				b.lastUses[ri] = append(b.lastUses[ri], n)
 			}
-			defs = n.Inst.Defs(defs[:0])
+			b.defs = n.Inst.Defs(b.defs[:0])
 			if in.Op == isa.JAL {
-				defs = append(defs, isa.RV)
+				b.defs = append(b.defs, isa.RV)
 			}
-			for _, r := range defs {
+			for _, r := range b.defs {
 				if r == isa.R0 {
 					continue
 				}
-				if d := lastDef[r]; d != nil {
-					addEdge(d, n, DepOutput, 1)
+				ri := b.reg(r)
+				if d := b.lastDef[ri]; d != nil {
+					b.addEdge(d, n, DepOutput, 1)
 				}
-				for _, u := range lastUses[r] {
+				for _, u := range b.lastUses[ri] {
 					if u != n {
-						addEdge(u, n, DepAnti, 0)
+						b.addEdge(u, n, DepAnti, 0)
 					}
 				}
-				lastDef[r] = n
-				lastUses[r] = lastUses[r][:0]
-				regVer[r]++
+				b.lastDef[ri] = n
+				b.lastUses[ri] = b.lastUses[ri][:0]
+				b.regVer[ri]++
 			}
 
 			// Memory dependences.
 			if isa.IsMem(in.Op) {
 				size, _ := memSize(in.Op)
-				ref := memRef{base: in.Rs, baseVer: regVer[in.Rs], off: in.Imm, size: size}
+				ref := memRef{base: in.Rs, baseVer: b.regVer[b.reg(in.Rs)], off: in.Imm, size: size}
 				if opts.NoDisambiguation {
 					ref = memRef{base: -1, baseVer: -1} // always overlaps
 				}
 				if isa.IsLoad(in.Op) {
-					for i, s := range stores {
-						if ref.overlaps(storeRefs[i]) || opts.NoDisambiguation {
-							addEdge(s, n, DepMem, 1)
+					for i, s := range b.stores {
+						if ref.overlaps(b.storeRefs[i]) || opts.NoDisambiguation {
+							b.addEdge(s, n, DepMem, 1)
 						}
 					}
-					loads = append(loads, n)
-					loadRefs = append(loadRefs, ref)
+					b.loads = append(b.loads, n)
+					b.loadRefs = append(b.loadRefs, ref)
 				} else {
-					for i, s := range stores {
-						if ref.overlaps(storeRefs[i]) || opts.NoDisambiguation {
-							addEdge(s, n, DepMem, 1)
+					for i, s := range b.stores {
+						if ref.overlaps(b.storeRefs[i]) || opts.NoDisambiguation {
+							b.addEdge(s, n, DepMem, 1)
 						}
 					}
-					for i, l := range loads {
-						if ref.overlaps(loadRefs[i]) || opts.NoDisambiguation {
-							addEdge(l, n, DepMem, 1)
+					for i, l := range b.loads {
+						if ref.overlaps(b.loadRefs[i]) || opts.NoDisambiguation {
+							b.addEdge(l, n, DepMem, 1)
 						}
 					}
-					stores = append(stores, n)
-					storeRefs = append(storeRefs, ref)
+					b.stores = append(b.stores, n)
+					b.storeRefs = append(b.storeRefs, ref)
 				}
 			}
 
 			// Observable output stream stays ordered.
 			if in.Op == isa.OUT {
 				if lastOut != nil {
-					addEdge(lastOut, n, DepOrder, 1)
+					b.addEdge(lastOut, n, DepOrder, 1)
 				}
 				lastOut = n
 			}
@@ -255,27 +315,66 @@ func Build(trace []*prog.Block, opts Options) *Graph {
 			// Calls and returns barrier everything that follows; they also
 			// depend on all prior memory and output activity.
 			if in.Op == isa.JAL || in.Op == isa.JR || in.Op == isa.HALT {
-				for _, s := range stores {
-					addEdge(s, n, DepOrder, 1)
+				for _, s := range b.stores {
+					b.addEdge(s, n, DepOrder, 1)
 				}
-				for _, l := range loads {
-					addEdge(l, n, DepOrder, 1)
+				for _, l := range b.loads {
+					b.addEdge(l, n, DepOrder, 1)
 				}
 				if lastOut != nil && lastOut != n {
-					addEdge(lastOut, n, DepOrder, 1)
+					b.addEdge(lastOut, n, DepOrder, 1)
 				}
 				lastBarrier = n
 				// Calls clobber memory: later loads/stores must not move
 				// above them; reset tracking so subsequent memory ops
 				// depend on the barrier (via the lastBarrier edge).
-				stores = stores[:0]
-				storeRefs = storeRefs[:0]
-				loads = loads[:0]
-				loadRefs = loadRefs[:0]
+				b.stores, b.storeRefs = b.stores[:0], b.storeRefs[:0]
+				b.loads, b.loadRefs = b.loads[:0], b.loadRefs[:0]
 			}
+			b.predEnd[seq] = len(b.edges)
+			seq++
 		}
+		g.ByBlock[bi] = g.Nodes[blockStart:seq:seq]
 	}
+	b.link(nodes)
 	return g
+}
+
+// link copies the finished edges into the graph's own arena and points
+// every node's Preds and Succs into it. Preds keep the order their edges
+// were added in. Each producer's Succs are in the order of their
+// consumers' Seq, then of the consumer's Preds: the order the edges were
+// added to the producer.
+func (b *Builder) link(nodes []Node) {
+	m := len(b.edges)
+	edges := make([]Edge, m)
+	copy(edges, b.edges)
+	ptrs := make([]*Edge, 2*m)
+	preds, succs := ptrs[:m:m], ptrs[m:]
+	lo := 0
+	for seq, hi := range b.predEnd {
+		for i := lo; i < hi; i++ {
+			preds[i] = &edges[i]
+		}
+		nodes[seq].Preds = preds[lo:hi:hi]
+		lo = hi
+	}
+	// Carve each producer's Succs out of the second half, sized by its
+	// out-degree, then fill them in arena order.
+	deg := b.predEnd
+	clear(deg)
+	for i := range edges {
+		deg[edges[i].From.Seq]++
+	}
+	off := 0
+	for seq, d := range deg {
+		nodes[seq].Succs = succs[off : off : off+d]
+		off += d
+	}
+	for i := range edges {
+		e := &edges[i]
+		e.From.Succs = append(e.From.Succs, e)
+	}
 }
 
 func memSize(op isa.Op) (int32, bool) {
