@@ -13,7 +13,7 @@ COVER_FLOOR_DYNSCHED ?= 85
 COVER_FLOOR_WORKLOADS ?= 75
 COVER_FLOOR_MEMHIER ?= 90
 
-.PHONY: all test test-short test-race bench bench-json bench-simcore bench-simcore-check bench-compile bench-compile-check bench-artifact bench-memhier bench-memhier-check experiments experiments-golden fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
+.PHONY: all test test-short test-race bench experiments experiments-golden fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
 
 all: vet test test-race fuzz-quick
 
@@ -28,64 +28,6 @@ test-race:
 
 bench:
 	$(GO) test -bench=. -benchmem
-
-# bench-json measures boostd's /v1/simulate throughput and latency
-# percentiles (hot vs cold response cache) and writes BENCH_service.json.
-bench-json:
-	BOOSTD_BENCH_JSON=$(CURDIR)/BENCH_service.json $(GO) test -run TestWriteBenchJSON -count=1 ./internal/service/
-	@echo "wrote BENCH_service.json"
-
-# bench-simcore measures the fast core and its test oracle (sim.ExecOracle,
-# the "legacy" row) on the long kernels and rewrites the committed
-# BENCH_simcore.json baseline. It fails if the fast core has lost its
-# headline properties (>=3x over legacy, allocation-free steady state), so
-# a regressed baseline cannot be committed.
-bench-simcore:
-	SIMCORE_BENCH_JSON=$(CURDIR)/BENCH_simcore.json $(GO) test -run TestWriteSimcoreBenchJSON -count=1 ./internal/sim/
-	@echo "wrote BENCH_simcore.json"
-
-# bench-simcore-check re-measures the fast core and fails if it runs >15%
-# slower than the committed BENCH_simcore.json baseline. CI runs this.
-bench-simcore-check:
-	SIMCORE_BENCH_BASELINE=$(CURDIR)/BENCH_simcore.json $(GO) test -run TestSimcoreBenchRegression -count=1 -v ./internal/sim/
-
-# bench-compile measures trace-scheduler compile time (analysis cache on
-# vs off) over every workload × {NoBoost, MinBoost3, Boost7} and rewrites
-# the committed BENCH_compile.json baseline. It fails if caching does not
-# improve aggregate compile time, so a baseline that lost the
-# optimization cannot be committed.
-bench-compile:
-	COMPILE_BENCH_JSON=$(CURDIR)/BENCH_compile.json $(GO) test -run TestWriteCompileBenchJSON -count=1 ./internal/core/
-	@echo "wrote BENCH_compile.json"
-
-# bench-compile-check re-measures cached compile time and fails if it runs
-# >15% slower than the committed BENCH_compile.json baseline. CI runs this.
-bench-compile-check:
-	COMPILE_BENCH_BASELINE=$(CURDIR)/BENCH_compile.json $(GO) test -run TestCompileBenchRegression -count=1 -v ./internal/core/
-
-# bench-artifact measures warm-start latency — cold compile vs decoding
-# an artifact from the disk store vs fetching it from a boostd peer — and
-# rewrites BENCH_artifact.json. It fails if a disk-warm start is not at
-# least 5x faster than a cold compile, so a baseline that lost the point
-# of the artifact cache cannot be committed.
-bench-artifact:
-	ARTIFACT_BENCH_JSON=$(CURDIR)/BENCH_artifact.json $(GO) test -run TestWriteArtifactBenchJSON -count=1 .
-	@echo "wrote BENCH_artifact.json"
-
-# bench-memhier measures the fast core under the stock and busiest
-# memory hierarchies against the perfect-memory run and rewrites the
-# committed BENCH_memhier.json baseline. It fails if a hierarchy costs
-# more than 4x the perfect-memory run, so a bloated timing model cannot
-# be committed.
-bench-memhier:
-	MEMHIER_BENCH_JSON=$(CURDIR)/BENCH_memhier.json $(GO) test -run TestWriteMemhierBenchJSON -count=1 ./internal/sim/
-	@echo "wrote BENCH_memhier.json"
-
-# bench-memhier-check re-measures the hierarchy runs and fails if one is
-# >15% slower than the committed BENCH_memhier.json baseline, or if the
-# timing model's access/stall counts drifted. CI runs this.
-bench-memhier-check:
-	MEMHIER_BENCH_BASELINE=$(CURDIR)/BENCH_memhier.json $(GO) test -run TestMemhierBenchRegression -count=1 -v ./internal/sim/
 
 experiments:
 	$(GO) run ./cmd/experiments -all

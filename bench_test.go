@@ -184,44 +184,6 @@ func BenchmarkAblationTraceLength(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures the raw cycle-simulation rate of
-// the boosting-hardware simulator (engineering metric, not a paper
-// number).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	w, err := workloads.ByName("espresso")
-	if err != nil {
-		b.Fatal(err)
-	}
-	train := w.BuildTrain()
-	test := w.BuildTest()
-	if _, err := regalloc.Allocate(train); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := regalloc.Allocate(test); err != nil {
-		b.Fatal(err)
-	}
-	if err := profile.Annotate(train); err != nil {
-		b.Fatal(err)
-	}
-	if err := profile.Transfer(train, test); err != nil {
-		b.Fatal(err)
-	}
-	sp, err := core.Schedule(test, machine.MinBoost3(), core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var cycles int64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Exec(sp, sim.ExecConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cycles += res.Cycles
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "sim-cycles/s")
-}
-
 // BenchmarkDynamicSchedulerThroughput measures the out-of-order timing
 // model's simulation rate.
 func BenchmarkDynamicSchedulerThroughput(b *testing.B) {

@@ -1,21 +1,8 @@
 package core
 
-// Compile-time benchmarks for the trace scheduler, plus the
-// BENCH_compile.json writer and the committed-baseline regression gate
-// that CI runs. In-package so the writer can flip Options.uncachedAnalyses
-// and measure what the analysis cache saves.
-//
-//	go test -bench BenchmarkCompile -benchmem ./internal/core/   ad-hoc numbers
-//	make bench-compile                                           rewrite BENCH_compile.json
-//	make bench-compile-check                                     fail on >15% compile regression
-
 import (
-	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"boosting/internal/machine"
 	"boosting/internal/profile"
@@ -75,143 +62,5 @@ func BenchmarkCompile(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// measureCompile times reps Schedule calls on fresh clones, cloning
-// outside the timed span, and returns the fastest observation. Minimum-
-// of-reps is the standard noise-robust estimator for sub-millisecond
-// code: scheduler work is deterministic, so every excess over the
-// minimum is scheduler-external jitter (GC, preemption). uncached
-// restores the pre-pass-manager invalidate-everything-per-trace
-// behavior.
-func measureCompile(tb testing.TB, master *prog.Program, model *machine.Model, uncached bool, reps int) float64 {
-	tb.Helper()
-	opts := Options{uncachedAnalyses: uncached}
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		test := prog.Clone(master)
-		start := time.Now()
-		if _, err := Schedule(test, model, opts); err != nil {
-			tb.Fatal(err)
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-	}
-	return float64(best.Nanoseconds())
-}
-
-// compileCell is one workload × model measurement in BENCH_compile.json.
-type compileCell struct {
-	CachedNsPerOp   float64 `json:"cached_ns_per_op"`
-	UncachedNsPerOp float64 `json:"uncached_ns_per_op"`
-	// Speedup is uncached/cached: what the analysis cache saves.
-	Speedup float64 `json:"speedup"`
-}
-
-type compileBenchFile struct {
-	GeneratedBy string                 `json:"generated_by"`
-	Cells       map[string]compileCell `json:"cells"`
-	// AggregateSpeedup compares total compile time across all cells.
-	AggregateSpeedup float64 `json:"aggregate_speedup"`
-}
-
-// TestWriteCompileBenchJSON measures every workload × benchmark model
-// with the analysis cache on and off and writes BENCH_compile.json (path
-// in COMPILE_BENCH_JSON; skipped when unset so `go test ./...` stays
-// quiet). It fails outright if caching does not improve aggregate compile
-// time, so a baseline that lost the optimization cannot be committed.
-func TestWriteCompileBenchJSON(t *testing.T) {
-	out := os.Getenv("COMPILE_BENCH_JSON")
-	if out == "" {
-		t.Skip("set COMPILE_BENCH_JSON=path to write the compile benchmark file")
-	}
-	const reps = 40
-	file := compileBenchFile{
-		GeneratedBy: "go test -run TestWriteCompileBenchJSON ./internal/core/ (make bench-compile)",
-		Cells:       map[string]compileCell{},
-	}
-	var cachedTotal, uncachedTotal float64
-	for _, w := range workloads.All() {
-		master := benchMaster(t, w)
-		for _, model := range compileBenchModels() {
-			// Warm build caches before the timed reps.
-			measureCompile(t, master, model, false, 1)
-			cell := compileCell{
-				CachedNsPerOp:   measureCompile(t, master, model, false, reps),
-				UncachedNsPerOp: measureCompile(t, master, model, true, reps),
-			}
-			cell.Speedup = cell.UncachedNsPerOp / cell.CachedNsPerOp
-			cachedTotal += cell.CachedNsPerOp
-			uncachedTotal += cell.UncachedNsPerOp
-			key := w.Name + "/" + model.Name
-			file.Cells[key] = cell
-			t.Logf("%s: cached %.3fms, uncached %.3fms (%.2fx)",
-				key, cell.CachedNsPerOp/1e6, cell.UncachedNsPerOp/1e6, cell.Speedup)
-		}
-	}
-	file.AggregateSpeedup = uncachedTotal / cachedTotal
-	t.Logf("aggregate: cached %.2fms, uncached %.2fms (%.2fx)",
-		cachedTotal/1e6, uncachedTotal/1e6, file.AggregateSpeedup)
-	if file.AggregateSpeedup <= 1 {
-		t.Errorf("analysis caching does not pay: aggregate speedup %.3fx, want > 1x", file.AggregateSpeedup)
-	}
-	b, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompileBenchRegression re-measures cached compile time and fails if
-// it runs >15% slower than the committed BENCH_compile.json baseline
-// (path in COMPILE_BENCH_BASELINE; skipped when unset). The comparison is
-// aggregate across all cells, so single-cell timer noise on the small
-// kernels cannot trip it; run on hardware comparable to what produced the
-// baseline — regenerate with `make bench-compile` when it moves for a
-// justified reason.
-func TestCompileBenchRegression(t *testing.T) {
-	base := os.Getenv("COMPILE_BENCH_BASELINE")
-	if base == "" {
-		t.Skip("set COMPILE_BENCH_BASELINE=path to compare against a committed baseline")
-	}
-	raw, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want compileBenchFile
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	const tolerance = 1.15
-	const reps = 40
-	var gotTotal, wantTotal float64
-	for _, w := range workloads.All() {
-		master := benchMaster(t, w)
-		for _, model := range compileBenchModels() {
-			key := w.Name + "/" + model.Name
-			cell, ok := want.Cells[key]
-			if !ok {
-				t.Errorf("baseline %s lacks cell %s; regenerate with make bench-compile", base, key)
-				continue
-			}
-			measureCompile(t, master, model, false, 1) // warm
-			got := measureCompile(t, master, model, false, reps)
-			gotTotal += got
-			wantTotal += cell.CachedNsPerOp
-			t.Logf("%s: %.3fms vs baseline %.3fms", key, got/1e6, cell.CachedNsPerOp/1e6)
-		}
-	}
-	if wantTotal <= 0 {
-		t.Fatalf("baseline %s has no usable cells", base)
-	}
-	ratio := gotTotal / wantTotal
-	t.Logf("aggregate: %.2fms vs baseline %.2fms (%.2fx)", gotTotal/1e6, wantTotal/1e6, ratio)
-	if ratio > tolerance {
-		t.Errorf("compile regressed to %.2fx the committed baseline (tolerance %.2fx): %s",
-			ratio, tolerance, fmt.Sprintf("%.2fms vs %.2fms", gotTotal/1e6, wantTotal/1e6))
 	}
 }

@@ -69,7 +69,7 @@ type Options struct {
 	// uncachedAnalyses restores the pre-pass-manager behavior of
 	// invalidating every analysis before each trace, forcing full
 	// recomputation. Schedules are identical either way (the analyses
-	// are deterministic); the compile benchmark flips this to measure
+	// are deterministic); TestAnalysisCacheRatio flips this to measure
 	// what the caching saves.
 	uncachedAnalyses bool
 }

@@ -120,92 +120,3 @@ func (s *Suite) ExceptionCostsReport(ctx context.Context) (*ExceptionCosts, erro
 	}
 	return out, nil
 }
-
-// SpeedupSummary bundles the headline comparison used by the README and
-// the examples: geometric-mean speedups over the scalar machine for every
-// configuration in the paper.
-type SpeedupSummary struct {
-	BasicBlock float64
-	Global     float64
-	Squashing  float64
-	Boost1     float64
-	MinBoost3  float64
-	Boost7     float64
-	Dynamic    float64
-}
-
-// Summary computes the headline geometric means.
-func (s *Suite) Summary(ctx context.Context) (*SpeedupSummary, error) {
-	staticModels := []struct {
-		model *machine.Model
-		opts  core.Options
-	}{
-		{machine.NoBoost(), core.Options{LocalOnly: true}},
-		{machine.NoBoost(), core.Options{}},
-		{machine.Squashing(), core.Options{}},
-		{machine.Boost1(), core.Options{}},
-		{machine.MinBoost3(), core.Options{}},
-		{machine.Boost7(), core.Options{}},
-	}
-	var cells []Cell
-	for _, w := range s.Workloads {
-		cells = append(cells, scalarCell(w))
-		for _, sm := range staticModels {
-			cells = append(cells, Cell{Workload: w, Model: sm.model, Opts: sm.opts, Alloc: true})
-		}
-		cells = append(cells, Cell{Workload: w, Dynamic: true})
-	}
-	if err := s.prefetch(ctx, cells); err != nil {
-		return nil, err
-	}
-
-	sum := &SpeedupSummary{}
-	collect := func(model *machine.Model, opts core.Options) (float64, error) {
-		var vs []float64
-		for _, w := range s.Workloads {
-			scalar, err := s.ScalarCycles(ctx, w)
-			if err != nil {
-				return 0, err
-			}
-			c, err := s.Store.measure(ctx, w, model, opts, true)
-			if err != nil {
-				return 0, err
-			}
-			vs = append(vs, float64(scalar)/float64(c))
-		}
-		return GeoMean(vs), nil
-	}
-	var err error
-	if sum.BasicBlock, err = collect(machine.NoBoost(), core.Options{LocalOnly: true}); err != nil {
-		return nil, err
-	}
-	if sum.Global, err = collect(machine.NoBoost(), core.Options{}); err != nil {
-		return nil, err
-	}
-	if sum.Squashing, err = collect(machine.Squashing(), core.Options{}); err != nil {
-		return nil, err
-	}
-	if sum.Boost1, err = collect(machine.Boost1(), core.Options{}); err != nil {
-		return nil, err
-	}
-	if sum.MinBoost3, err = collect(machine.MinBoost3(), core.Options{}); err != nil {
-		return nil, err
-	}
-	if sum.Boost7, err = collect(machine.Boost7(), core.Options{}); err != nil {
-		return nil, err
-	}
-	var dyn []float64
-	for _, w := range s.Workloads {
-		scalar, err := s.ScalarCycles(ctx, w)
-		if err != nil {
-			return nil, err
-		}
-		c, err := s.DynCycles(ctx, w, false)
-		if err != nil {
-			return nil, err
-		}
-		dyn = append(dyn, float64(scalar)/float64(c))
-	}
-	sum.Dynamic = GeoMean(dyn)
-	return sum, nil
-}

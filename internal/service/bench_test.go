@@ -5,12 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // BenchmarkSimulateHot measures the dedup fast path: every request hits
@@ -60,85 +56,4 @@ func benchPost(tb testing.TB, ts *httptest.Server, body string) {
 	if resp.StatusCode != http.StatusOK {
 		tb.Fatalf("status %d", resp.StatusCode)
 	}
-}
-
-// benchStats summarizes one measured configuration.
-type benchStats struct {
-	Requests      int     `json:"requests"`
-	ThroughputQPS float64 `json:"throughput_qps"`
-	P50Micros     float64 `json:"p50_us"`
-	P99Micros     float64 `json:"p99_us"`
-}
-
-// TestWriteBenchJSON measures /v1/simulate throughput and latency
-// percentiles with a hot and a cold response cache and writes the result
-// to the file named by BOOSTD_BENCH_JSON. It is skipped unless that
-// variable is set, so `go test ./...` stays quiet; `make bench-json`
-// drives it.
-func TestWriteBenchJSON(t *testing.T) {
-	out := os.Getenv("BOOSTD_BENCH_JSON")
-	if out == "" {
-		t.Skip("set BOOSTD_BENCH_JSON=path to write the service benchmark file")
-	}
-	s, err := New(Config{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	const hotN, coldN = 400, 60
-	benchPost(t, ts, simBenchBody(0)) // warm
-	hot := measure(t, ts, hotN, func(int) string { return simBenchBody(0) })
-	cold := measure(t, ts, coldN, func(i int) string { return simBenchBody(5000 + i) })
-
-	report := map[string]any{
-		"benchmark":  "boostd /v1/simulate",
-		"go":         runtime.Version(),
-		"hot_cache":  hot,
-		"cold_cache": cold,
-		"speedup_p50": func() float64 {
-			if hot.P50Micros == 0 {
-				return 0
-			}
-			return cold.P50Micros / hot.P50Micros
-		}(),
-	}
-	b, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(b, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: hot p50=%.1fus p99=%.1fus (%.0f qps), cold p50=%.1fus p99=%.1fus (%.0f qps)",
-		out, hot.P50Micros, hot.P99Micros, hot.ThroughputQPS,
-		cold.P50Micros, cold.P99Micros, cold.ThroughputQPS)
-}
-
-func measure(t *testing.T, ts *httptest.Server, n int, body func(i int) string) benchStats {
-	t.Helper()
-	lat := make([]float64, n)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		benchPost(t, ts, body(i))
-		lat[i] = float64(time.Since(t0).Microseconds())
-	}
-	elapsed := time.Since(start).Seconds()
-	sort.Float64s(lat)
-	return benchStats{
-		Requests:      n,
-		ThroughputQPS: float64(n) / elapsed,
-		P50Micros:     percentile(lat, 0.50),
-		P99Micros:     percentile(lat, 0.99),
-	}
-}
-
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }

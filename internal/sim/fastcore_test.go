@@ -183,13 +183,17 @@ func TestEnginesIdenticalWithMemHier(t *testing.T) {
 // compares total allocations of a cycle-bounded short run against a full
 // run orders of magnitude longer; the difference is the steady-state
 // loop's allocation, which must be (near) zero — only the output stream's
-// amortized growth is tolerated.
+// amortized growth is tolerated. A whole sim.Exec call, predecode
+// included, must also stay within 256 allocations on both long kernels.
 func TestFastCoreSteadyStateAllocFree(t *testing.T) {
-	master := compileWorkload(t, "eqntott")
-	sp, err := core.Schedule(prog.Clone(master), machine.Boost7(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range simcoreWorkloads {
+		sp := scheduleBoost7(t, name)
+		if perRun := testing.AllocsPerRun(2, runner(t, sim.Exec, sp, sim.ExecConfig{})); perRun > 256 {
+			t.Errorf("%s: a whole fast-core run allocates %.0f objects, want <= 256", name, perRun)
+		}
 	}
+
+	sp := scheduleBoost7(t, "eqntott")
 	pd, err := sim.Predecode(sp)
 	if err != nil {
 		t.Fatal(err)
