@@ -101,3 +101,34 @@ func TestAnalysisCacheScheduleIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalLivenessExact schedules the 128 pool programs and every
+// workload on every machine model with Options.checkLiveness, which
+// compares each liveness result the scheduler reads (after the manager
+// updated it for the blocks a trace rewrite or a compensation copy
+// edited) with a full computation, and fails the schedule on any
+// difference.
+func TestIncrementalLivenessExact(t *testing.T) {
+	var masters []*prog.Program
+	for j := 0; j < asmPoolSize; j++ {
+		masters = append(masters, asmPoolProgram(t, j))
+	}
+	for _, w := range workloads.All() {
+		masters = append(masters, benchMaster(t, w))
+	}
+	models := append([]*machine.Model{machine.Scalar(), machine.NoBoost()}, machine.AllEvaluated()...)
+	var traces, computes int64
+	for i, master := range masters {
+		for _, model := range models {
+			for _, opts := range []Options{{checkLiveness: true}, {checkLiveness: true, DisableEquivalence: true}} {
+				_, st, err := ScheduleWithStats(prog.Clone(master), model, opts)
+				if err != nil {
+					t.Fatalf("program %d on %s: %v", i, model, err)
+				}
+				traces += st.TracesFormed
+				computes += st.Analysis.LivenessComputes
+			}
+		}
+	}
+	t.Logf("%d programs: %d traces, %d liveness computations checked", len(masters), traces, computes)
+}

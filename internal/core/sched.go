@@ -72,6 +72,10 @@ type Options struct {
 	// are deterministic); TestAnalysisCacheRatio flips this to measure
 	// what the caching saves.
 	uncachedAnalyses bool
+	// checkLiveness compares every liveness result the scheduler reads
+	// with a full computation, and fails the schedule on a difference.
+	// Tests set it to prove the incremental recomputation exact.
+	checkLiveness bool
 }
 
 // Schedule compiles a program for the given machine model. The program is
@@ -148,6 +152,9 @@ func scheduleProc(pr *prog.Program, p *prog.Proc, model *machine.Model, opts Opt
 		if err := s.scheduleTrace([]*prog.Block{b}); err != nil {
 			return nil, err
 		}
+	}
+	if s.livenessErr != nil {
+		return nil, s.livenessErr
 	}
 	stats.Analysis.Add(s.am.Stats())
 	return sp, nil

@@ -21,6 +21,10 @@ type Liveness struct {
 	// Use and Def are the per-block gen/kill sets.
 	Use []BitSet
 	Def []BitSet
+
+	// maxReg[b.ID] is the highest register block b mentions, kept so an
+	// update can size its sets without rescanning unedited blocks.
+	maxReg []isa.Reg
 }
 
 // callerVisible lists registers treated as live across calls and at
@@ -33,26 +37,112 @@ var callerVisible = []isa.Reg{isa.RV, isa.A0, isa.A1, isa.A2, isa.A3, isa.SP, is
 // caller-visible ABI registers are live-out, which conservatively keeps
 // return values alive.
 func ComputeLiveness(p *prog.Proc) *Liveness {
-	nBlocks := maxBlockID(p) + 1
-	nRegs := int(p.MaxReg()) + 1
-	lv := &Liveness{
-		NumRegs: nRegs,
-		In:      make([]BitSet, nBlocks),
-		Out:     make([]BitSet, nBlocks),
-		Use:     make([]BitSet, nBlocks),
-		Def:     make([]BitSet, nBlocks),
-	}
+	lv := &Liveness{maxReg: make([]isa.Reg, maxBlockID(p)+1)}
 	for _, b := range p.Blocks {
-		lv.In[b.ID] = NewBitSet(nRegs)
-		lv.Out[b.ID] = NewBitSet(nRegs)
-		lv.Use[b.ID] = NewBitSet(nRegs)
-		lv.Def[b.ID] = NewBitSet(nRegs)
+		lv.maxReg[b.ID] = blockMaxReg(b)
+	}
+	lv.alloc(p, lv.numRegs(p))
+	for _, b := range p.Blocks {
 		lv.localSets(b)
 	}
+	lv.solve(p)
+	return lv
+}
 
-	// Iterate to fixpoint, visiting blocks in reverse order for speed.
+// update returns the liveness of p after an edit that changed only the
+// instruction lists of the blocks in edited, computed from lv, the
+// liveness before the edit. Every other block keeps lv's Use and Def
+// sets; the fixpoint is solved again from empty In and Out sets, so the
+// result is exactly what ComputeLiveness would return. It returns nil
+// when the edit changed the block set or the register count, which
+// needs a full computation.
+func (lv *Liveness) update(p *prog.Proc, edited []*prog.Block) *Liveness {
+	if maxBlockID(p)+1 != len(lv.maxReg) {
+		return nil
+	}
+	nlv := &Liveness{maxReg: append([]isa.Reg(nil), lv.maxReg...)}
+	for _, b := range edited {
+		nlv.maxReg[b.ID] = blockMaxReg(b)
+	}
+	if nlv.numRegs(p) != lv.NumRegs {
+		return nil
+	}
+	nlv.alloc(p, lv.NumRegs)
+	for _, b := range p.Blocks {
+		nlv.Use[b.ID].Copy(lv.Use[b.ID])
+		nlv.Def[b.ID].Copy(lv.Def[b.ID])
+	}
+	for _, b := range edited {
+		nlv.Use[b.ID].Reset()
+		nlv.Def[b.ID].Reset()
+		nlv.localSets(b)
+	}
+	nlv.solve(p)
+	return nlv
+}
+
+// Equal reports whether two liveness results are identical: the same
+// register count and the same four sets for every block.
+func (lv *Liveness) Equal(o *Liveness) bool {
+	if lv.NumRegs != o.NumRegs || len(lv.In) != len(o.In) {
+		return false
+	}
+	for id := range lv.In {
+		if !lv.In[id].Equal(o.In[id]) || !lv.Out[id].Equal(o.Out[id]) ||
+			!lv.Use[id].Equal(o.Use[id]) || !lv.Def[id].Equal(o.Def[id]) {
+			return false
+		}
+	}
+	return true
+}
+
+// numRegs is the set size for p: one more than the highest register any
+// block mentions, recovery blocks included, as Proc.MaxReg counts.
+func (lv *Liveness) numRegs(p *prog.Proc) int {
+	top := isa.Reg(isa.NumArchRegs - 1)
+	for _, b := range p.Blocks {
+		top = max(top, lv.maxReg[b.ID])
+	}
+	return int(top) + 1
+}
+
+// blockMaxReg returns the highest register b's instructions mention.
+func blockMaxReg(b *prog.Block) isa.Reg {
+	var top isa.Reg
+	var buf [4]isa.Reg
+	for i := range b.Insts {
+		regs := b.Insts[i].Defs(buf[:0])
+		for _, r := range b.Insts[i].Uses(regs) {
+			top = max(top, r)
+		}
+	}
+	return top
+}
+
+// alloc sizes the result for nRegs registers and cuts every block's four
+// empty sets from one slab.
+func (lv *Liveness) alloc(p *prog.Proc, nRegs int) {
+	n := len(lv.maxReg)
+	lv.NumRegs = nRegs
+	lv.In, lv.Out = make([]BitSet, n), make([]BitSet, n)
+	lv.Use, lv.Def = make([]BitSet, n), make([]BitSet, n)
+	w := (nRegs + 63) / 64
+	slab := make([]uint64, 4*w*len(p.Blocks))
+	next := func() BitSet {
+		s := BitSet(slab[:w:w])
+		slab = slab[w:]
+		return s
+	}
+	for _, b := range p.Blocks {
+		lv.In[b.ID], lv.Out[b.ID], lv.Use[b.ID], lv.Def[b.ID] = next(), next(), next(), next()
+	}
+}
+
+// solve iterates In and Out to the fixpoint from the Use and Def sets,
+// visiting blocks in reverse order for speed.
+func (lv *Liveness) solve(p *prog.Proc) {
 	blocks := p.Blocks
-	var tmp = NewBitSet(nRegs)
+	tmp := NewBitSet(lv.NumRegs)
 	for changed := true; changed; {
 		changed = false
 		for i := len(blocks) - 1; i >= 0; i-- {
@@ -63,7 +153,7 @@ func ComputeLiveness(p *prog.Proc) *Liveness {
 			out := lv.Out[b.ID]
 			if len(b.Succs) == 0 {
 				for _, r := range callerVisible {
-					if int(r) < nRegs {
+					if int(r) < lv.NumRegs {
 						out.Set(int(r))
 					}
 				}
@@ -83,24 +173,25 @@ func ComputeLiveness(p *prog.Proc) *Liveness {
 			}
 		}
 	}
-	return lv
 }
+
+// callArgs are the registers a call reads: the argument registers and SP.
+var callArgs = [...]isa.Reg{isa.A0, isa.A1, isa.A2, isa.A3, isa.SP}
 
 // localSets fills Use (upward-exposed uses) and Def for block b.
 func (lv *Liveness) localSets(b *prog.Block) {
 	use, def := lv.Use[b.ID], lv.Def[b.ID]
-	var regs []isa.Reg
+	var buf [4]isa.Reg
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		regs = in.Uses(regs[:0])
-		for _, r := range regs {
+		for _, r := range in.Uses(buf[:0]) {
 			if !def.Has(int(r)) {
 				use.Set(int(r))
 			}
 		}
 		if in.Op == isa.JAL {
 			// Calls use the argument registers and SP.
-			for _, r := range []isa.Reg{isa.A0, isa.A1, isa.A2, isa.A3, isa.SP} {
+			for _, r := range callArgs {
 				if !def.Has(int(r)) {
 					use.Set(int(r))
 				}
@@ -116,8 +207,7 @@ func (lv *Liveness) localSets(b *prog.Block) {
 			// understate liveness for blocks entered mid-trace.
 			continue
 		}
-		regs = in.Defs(regs[:0])
-		for _, r := range regs {
+		for _, r := range in.Defs(buf[:0]) {
 			if r != isa.R0 {
 				def.Set(int(r))
 			}
@@ -152,7 +242,7 @@ func (lv *Liveness) LiveAt(b *prog.Block, idx int) BitSet {
 			live.Set(int(r))
 		}
 		if in.Op == isa.JAL {
-			for _, r := range []isa.Reg{isa.A0, isa.A1, isa.A2, isa.A3, isa.SP} {
+			for _, r := range callArgs {
 				live.Set(int(r))
 			}
 		}

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"testing"
 
 	"boosting/internal/isa"
@@ -163,6 +164,78 @@ func TestManagerForeignGenerationBump(t *testing.T) {
 	}
 	if s := m.Stats(); s.CFGComputes != 2 {
 		t.Errorf("CFG computes = %d, want 2", s.CFGComputes)
+	}
+}
+
+// TestManagerInvalidateInstsExact applies random instruction edits to
+// random procedures, declares each batch with InvalidateInsts, and
+// requires every Liveness result to be a new value equal to a fresh
+// ComputeLiveness, NumRegs included. Edits insert, delete and rewrite
+// instructions, so they add and remove last uses around loops and raise
+// and lower the highest register.
+func TestManagerInvalidateInstsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var updates int
+	for trial := 0; trial < 300; trial++ {
+		pr := genRandomCFG(rng, 2+rng.Intn(10))
+		p := pr.Main()
+		pool := []isa.Reg{isa.RV, isa.A0, 9, pr.FreshReg(), pr.FreshReg(), pr.FreshReg()}
+		m := NewManager(p)
+		prev := m.Liveness()
+		const steps = 10
+		for step := 0; step < steps; step++ {
+			var edited []*prog.Block
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				b := p.Blocks[rng.Intn(len(p.Blocks))]
+				if rng.Intn(4) == 0 {
+					pool = append(pool, pr.FreshReg()) // raises the highest register
+				}
+				editBlock(rng, b, pool)
+				edited = append(edited, b)
+				if rng.Intn(3) == 0 {
+					m.InvalidateInsts(edited...) // batches may be declared piecewise
+					edited = edited[:0]
+				}
+			}
+			m.InvalidateInsts(edited...)
+			if m.live.valid && len(m.edited) > 0 {
+				updates++
+			}
+			got, want := m.Liveness(), ComputeLiveness(p)
+			if got == prev {
+				t.Fatalf("trial %d step %d: Liveness returned the previous value", trial, step)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d step %d: updated liveness differs from a full computation (NumRegs %d, want %d)\n%s",
+					trial, step, got.NumRegs, want.NumRegs, prog.Format(p))
+			}
+			prev = got
+		}
+		if s := m.Stats(); s.LivenessComputes != steps+1 {
+			t.Fatalf("trial %d: %d liveness computations, want %d", trial, s.LivenessComputes, steps+1)
+		}
+	}
+	if updates == 0 {
+		t.Fatal("no query took the incremental path")
+	}
+}
+
+// editBlock inserts, deletes or rewrites one non-terminator instruction
+// of b, drawing registers from pool.
+func editBlock(rng *rand.Rand, b *prog.Block, pool []isa.Reg) {
+	body := len(b.Body())
+	reg := func() isa.Reg { return pool[rng.Intn(len(pool))] }
+	switch op := rng.Intn(3); {
+	case op == 0 && body > 0:
+		i := rng.Intn(body)
+		b.Insts = append(b.Insts[:i:i], b.Insts[i+1:]...)
+	case op == 1 && body > 0:
+		in := &b.Insts[rng.Intn(body)]
+		in.Rd, in.Rs = reg(), reg()
+	default:
+		i := rng.Intn(body + 1)
+		in := isa.Inst{Op: isa.ADD, Rd: reg(), Rs: reg(), Rt: reg()}
+		b.Insts = append(b.Insts[:i:i], append([]isa.Inst{in}, b.Insts[i:]...)...)
 	}
 }
 

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"fmt"
+	"slices"
 
 	"boosting/internal/isa"
 )
@@ -71,34 +72,46 @@ func Verify(p *Proc) error {
 		}
 	}
 
-	// Preds consistency.
-	want := map[*Block]map[*Block]int{}
+	// Preds consistency: each block lists every edge into it from the
+	// procedure, once per edge, and nothing else.
 	for _, b := range p.Blocks {
-		for _, s := range b.Succs {
-			if want[s] == nil {
-				want[s] = map[*Block]int{}
+		for i, pb := range b.Preds {
+			if slices.Index(b.Preds, pb) < i {
+				continue // counted at its first occurrence
 			}
-			want[s][b]++
+			have, want := count(b.Preds, pb), 0
+			if inProc[pb] {
+				want = count(pb.Succs, b)
+			}
+			if want == 0 {
+				return fmt.Errorf("proc %s: %s has stale pred %s", p.Name, b, pb)
+			}
+			if have != want {
+				return fmt.Errorf("proc %s: %s preds inconsistent (want %d edges from %s, have %d)",
+					p.Name, b, want, pb, have)
+			}
 		}
 	}
 	for _, b := range p.Blocks {
-		got := map[*Block]int{}
-		for _, pb := range b.Preds {
-			got[pb]++
-		}
-		for pb, n := range want[b] {
-			if got[pb] != n {
-				return fmt.Errorf("proc %s: %s preds inconsistent (want %d edges from %s, have %d)",
-					p.Name, b, n, pb, got[pb])
-			}
-		}
-		for pb, n := range got {
-			if want[b][pb] != n {
-				return fmt.Errorf("proc %s: %s has stale pred %s", p.Name, b, pb)
+		for _, s := range b.Succs {
+			if !slices.Contains(s.Preds, b) {
+				return fmt.Errorf("proc %s: %s preds inconsistent (want %d edges from %s, have 0)",
+					p.Name, s, count(b.Succs, s), b)
 			}
 		}
 	}
 	return nil
+}
+
+// count returns how many times b occurs in bs.
+func count(bs []*Block, b *Block) int {
+	n := 0
+	for _, x := range bs {
+		if x == b {
+			n++
+		}
+	}
+	return n
 }
 
 // VerifyProgram verifies every procedure and that every JAL target exists.
@@ -110,13 +123,21 @@ func VerifyProgram(pr *Program) error {
 		if err := Verify(p); err != nil {
 			return err
 		}
-		for _, b := range p.Blocks {
-			for i := range b.Insts {
-				in := &b.Insts[i]
-				if in.Op == isa.JAL {
-					if _, ok := pr.Procs[in.Sym]; !ok {
-						return fmt.Errorf("proc %s: call to undefined proc %q", p.Name, in.Sym)
-					}
+		if err := verifyCalls(pr, p); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verifyCalls checks that every JAL in p names a procedure of pr.
+func verifyCalls(pr *Program, p *Proc) error {
+	for _, b := range p.Blocks {
+		for i := range b.Insts {
+			in := &b.Insts[i]
+			if in.Op == isa.JAL {
+				if _, ok := pr.Procs[in.Sym]; !ok {
+					return fmt.Errorf("proc %s: call to undefined proc %q", p.Name, in.Sym)
 				}
 			}
 		}

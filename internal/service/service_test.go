@@ -193,6 +193,25 @@ func TestSimulateAsm(t *testing.T) {
 	}
 }
 
+// TestDataAfterReserveIs400: an assembly body whose data follows a
+// .reserve would place that data on the reserved zeroed bytes; the
+// parser rejects it, so both assembly endpoints answer 400 naming the
+// line.
+func TestDataAfterReserveIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	asm := ".word 7\n.reserve 16\n.byte 1 2\n.proc main\n\thalt\n"
+	for _, path := range []string{"/v1/simulate", "/v1/compile"} {
+		body, _ := json.Marshal(map[string]string{"asm": asm, "model": "MinBoost3"})
+		resp, b := post(t, ts, path, string(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", path, resp.StatusCode, b)
+		}
+		if want := "line 3: .byte after .reserve would overlap the reserved bytes"; !strings.Contains(string(b), want) {
+			t.Errorf("%s: body %s lacks %q", path, b, want)
+		}
+	}
+}
+
 func TestSimulateWorkloadAndDynamic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload simulation in -short mode")
