@@ -12,6 +12,8 @@ COVER_FLOOR_MACHINE ?= 75
 COVER_FLOOR_DYNSCHED ?= 85
 COVER_FLOOR_WORKLOADS ?= 75
 COVER_FLOOR_MEMHIER ?= 90
+COVER_FLOOR_PROG ?= 91
+COVER_FLOOR_REGALLOC ?= 97
 
 .PHONY: all test test-short test-race bench experiments experiments-golden fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
 
@@ -70,7 +72,8 @@ cover:
 	@set -e; for spec in internal/sim:$(COVER_FLOOR_SIM) internal/core:$(COVER_FLOOR_CORE) \
 			internal/dataflow:$(COVER_FLOOR_DATAFLOW) internal/passes:$(COVER_FLOOR_PASSES) \
 			internal/machine:$(COVER_FLOOR_MACHINE) internal/dynsched:$(COVER_FLOOR_DYNSCHED) \
-			internal/workloads:$(COVER_FLOOR_WORKLOADS) internal/memhier:$(COVER_FLOOR_MEMHIER); do \
+			internal/workloads:$(COVER_FLOOR_WORKLOADS) internal/memhier:$(COVER_FLOOR_MEMHIER) \
+			internal/prog:$(COVER_FLOOR_PROG) internal/regalloc:$(COVER_FLOOR_REGALLOC); do \
 		pkg=$${spec%%:*}; floor=$${spec##*:}; \
 		pct=$$($(GO) test -cover ./$$pkg/ | awk '{for(i=1;i<=NF;i++) if ($$i=="coverage:") {sub(/%/,"",$$(i+1)); print $$(i+1)}}'); \
 		if [ -z "$$pct" ]; then echo "cover: no coverage output for $$pkg"; exit 1; fi; \
