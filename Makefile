@@ -86,7 +86,9 @@ cover:
 # oracle-guard builds the production commands and fails if any of them
 # links sim.ExecOracle, the interpreter kept only as the fast core's test
 # oracle. Go's linker drops functions nothing calls, so the symbol shows
-# up in `go tool nm` exactly when a production path calls the oracle.
+# up in `go tool nm` exactly when a production path calls the oracle. It
+# also fails if cmd/boostd imports the experiment harness: the service
+# runs its grids on Pipeline.Grid and needs none of the harness.
 oracle-guard:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for cmd in boostd boostsim experiments; do \
@@ -96,7 +98,12 @@ oracle-guard:
 			echo "oracle-guard: cmd/$$cmd links boosting/internal/sim.ExecOracle"; exit 1; \
 		fi; \
 		echo "oracle-guard: cmd/$$cmd does not link sim.ExecOracle"; \
-	done
+	done; \
+	$(GO) list -deps ./cmd/boostd > "$$dir/boostd.deps"; \
+	if grep -qx 'boosting/internal/experiments' "$$dir/boostd.deps"; then \
+		echo "oracle-guard: cmd/boostd links boosting/internal/experiments"; exit 1; \
+	fi; \
+	echo "oracle-guard: cmd/boostd does not link internal/experiments"
 
 vet:
 	$(GO) vet ./...

@@ -1,11 +1,11 @@
 // Package cache provides Memo, a concurrency-safe memoization table with
-// singleflight deduplication. (The data-cache timing model that used to
+// singleflight deduplication, and ForEach, the bounded fan-out that grids
+// of memoized work run on. (The data-cache timing model that used to
 // share this package lives in internal/memhier.)
 package cache
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -80,7 +80,7 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, 
 		}
 	}()
 	e.val, e.err = fn()
-	if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
+	if e.err != nil && isContextErr(e.err) {
 		// Do not poison the key with a cancellation: drop the entry so a
 		// later call (under a fresh context) recomputes it.
 		m.forget(key)

@@ -322,7 +322,7 @@ func (s *scheduler) dataEquivalent(st *traceState, n *ddg.Node, bi, oi int) bool
 		if x == a || x == d || onTrace[x] || !bwd[x] {
 			continue
 		}
-		if blockConflicts(x, n, uses, dest, hasDest) {
+		if blockConflicts(x, n, uses, dest, hasDest, s.calls) {
 			return false
 		}
 	}
@@ -354,8 +354,10 @@ func reachAvoiding(start, avoid *prog.Block, backward bool) map[*prog.Block]bool
 }
 
 // blockConflicts reports whether any instruction of x conflicts with the
-// moving instruction n.
-func blockConflicts(x *prog.Block, n *ddg.Node, uses []isa.Reg, dest isa.Reg, hasDest bool) bool {
+// moving instruction n. calls maps each procedure to the registers a call
+// to it may read and write.
+func blockConflicts(x *prog.Block, n *ddg.Node, uses []isa.Reg, dest isa.Reg, hasDest bool,
+	calls map[string]callSet) bool {
 	var tmp []isa.Reg
 	nIsLoad := isa.IsLoad(n.Inst.Op)
 	nIsStore := isa.IsStore(n.Inst.Op)
@@ -363,14 +365,23 @@ func blockConflicts(x *prog.Block, n *ddg.Node, uses []isa.Reg, dest isa.Reg, ha
 	for i := range x.Insts {
 		in := &x.Insts[i]
 		if in.Op == isa.JAL {
-			// Calls clobber memory, output and the linkage registers.
+			// Calls clobber memory and output, and read and write
+			// every register their callees do.
 			if nIsLoad || nIsStore || nIsOut {
 				return true
 			}
-			tmp = append(tmp[:0], isa.RV, isa.RA)
-		} else {
-			tmp = in.Defs(tmp[:0])
+			cs := calls[in.Sym]
+			if hasDest && (cs.writes.Has(int(dest)) || cs.reads.Has(int(dest))) {
+				return true
+			}
+			for _, u := range uses {
+				if cs.writes.Has(int(u)) {
+					return true
+				}
+			}
+			continue
 		}
+		tmp = in.Defs(tmp[:0])
 		for _, r := range tmp {
 			if r == isa.R0 {
 				continue

@@ -101,8 +101,13 @@ func ScheduleWithStats(pr *prog.Program, model *machine.Model, opts Options) (*m
 		Model: model,
 		Procs: map[string]*machine.SchedProc{},
 	}
+	// Only the equivalence shortcut looks inside calls.
+	var calls map[string]callSet
+	if !opts.LocalOnly && !opts.DisableEquivalence {
+		calls = callSets(pr)
+	}
 	for _, p := range pr.ProcList() {
-		sp, err := scheduleProc(pr, p, model, opts, stats)
+		sp, err := scheduleProc(pr, p, model, opts, stats, calls)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: scheduling %s: %w", p.Name, err)
 		}
@@ -119,7 +124,8 @@ func ScheduleWithStats(pr *prog.Program, model *machine.Model, opts Options) (*m
 // served from cache while the IR generation is unchanged, and invalidated
 // at the scheduler's two mutation points (compensation bookkeeping and
 // the trace rewrite) instead of recomputed before every trace.
-func scheduleProc(pr *prog.Program, p *prog.Proc, model *machine.Model, opts Options, stats *Stats) (*machine.SchedProc, error) {
+func scheduleProc(pr *prog.Program, p *prog.Proc, model *machine.Model, opts Options, stats *Stats,
+	calls map[string]callSet) (*machine.SchedProc, error) {
 	sp := &machine.SchedProc{
 		Proc:     p,
 		Blocks:   map[int]*machine.SchedBlock{},
@@ -132,6 +138,7 @@ func scheduleProc(pr *prog.Program, p *prog.Proc, model *machine.Model, opts Opt
 		opts:      opts,
 		sp:        sp,
 		stats:     stats,
+		calls:     calls,
 		am:        dataflow.NewManager(p),
 		scheduled: map[int]bool{},
 		splits:    map[splitKey]*prog.Block{},
@@ -158,6 +165,65 @@ func scheduleProc(pr *prog.Program, p *prog.Proc, model *machine.Model, opts Opt
 	}
 	stats.Analysis.Add(s.am.Stats())
 	return sp, nil
+}
+
+// callSet is what a call to one procedure may do to registers.
+type callSet struct {
+	reads, writes dataflow.BitSet
+}
+
+// callSets returns, for each procedure of pr, the registers a call to it
+// may read and write: every register the procedure or its callees read
+// or write, and the linkage registers RV and RA. One register file serves
+// the whole program, so after allocation a callee reads and writes the
+// caller's registers. The sets are taken before scheduling, which moves
+// and copies instructions but adds no register access.
+func callSets(pr *prog.Program) map[string]callSet {
+	procs := pr.ProcList()
+	n := 0
+	for _, p := range procs {
+		n = max(n, int(p.MaxReg())+1)
+	}
+	words := (n + 63) / 64
+	slab := make(dataflow.BitSet, 2*len(procs)*words) // every set, in one allocation
+	sets := make(map[string]callSet, len(procs))
+	var calls [][2]string // caller, callee
+	var buf [4]isa.Reg
+	regs := buf[:0]
+	for k, p := range procs {
+		cs := callSet{reads: slab[2*k*words : (2*k+1)*words], writes: slab[(2*k+1)*words : (2*k+2)*words]}
+		cs.writes.Set(int(isa.RV))
+		cs.writes.Set(int(isa.RA))
+		for _, b := range p.Blocks {
+			for i := range b.Insts {
+				in := &b.Insts[i]
+				if in.Op == isa.JAL {
+					calls = append(calls, [2]string{p.Name, in.Sym})
+				}
+				regs = in.Uses(regs[:0])
+				for _, r := range regs {
+					cs.reads.Set(int(r))
+				}
+				regs = in.Defs(regs[:0])
+				for _, r := range regs {
+					cs.writes.Set(int(r))
+				}
+			}
+		}
+		cs.reads.Clear(int(isa.R0))
+		cs.writes.Clear(int(isa.R0))
+		sets[p.Name] = cs
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, c := range calls {
+			caller, callee := sets[c[0]], sets[c[1]]
+			r := caller.reads.Union(callee.reads)
+			w := caller.writes.Union(callee.writes)
+			changed = changed || r || w
+		}
+	}
+	return sets
 }
 
 // scheduleRegion selects and schedules traces until every block of the

@@ -28,6 +28,9 @@ type scheduler struct {
 	opts  Options
 	sp    *machine.SchedProc
 	stats *Stats
+	// calls maps each procedure to the registers a call to it may read
+	// and write (callSets), shared by every procedure of one schedule.
+	calls map[string]callSet
 
 	// am memoizes dominance, liveness and regions for p, keyed by the
 	// procedure's IR generation; the scheduler declares its mutations

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"boosting/internal/prog"
 )
 
@@ -25,40 +27,35 @@ type CFGInfo struct {
 // Analyze computes orderings and dominance for p.
 func Analyze(p *prog.Proc) *CFGInfo {
 	n := maxBlockID(p) + 1
+	doms := make([]*prog.Block, 2*n)
+	orders := make([]*prog.Block, 2*len(p.Blocks))
+	nums := make([]int, 2*n)
+	for i := range nums {
+		nums[i] = -1
+	}
 	info := &CFGInfo{
 		Proc:   p,
-		RPONum: make([]int, n),
-		IDom:   make([]*prog.Block, n),
-		IPDom:  make([]*prog.Block, n),
-	}
-	for i := range info.RPONum {
-		info.RPONum[i] = -1
+		RPONum: nums[:n:n],
+		IDom:   doms[:n:n],
+		IPDom:  doms[n:],
 	}
 
-	// Depth-first postorder, then reverse.
-	seen := make([]bool, n)
-	var post []*prog.Block
-	var dfs func(b *prog.Block)
-	dfs = func(b *prog.Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs {
-			if !seen[s.ID] {
-				dfs(s)
-			}
+	// Dominators: the CFG forward from the entry.
+	fwd := walk{num: info.RPONum, post: orders[:0:len(p.Blocks)]}
+	fwd.visit(p.Entry)
+	info.RPO = fwd.order()
+	dominators(info.RPO, info.RPONum, false, info.IDom)
+
+	// Postdominators: the reversed CFG from a virtual exit whose
+	// successors are the reachable exit blocks (JR/HALT). Blocks that
+	// cannot reach an exit keep a nil IPDom.
+	bwd := walk{num: nums[n:], post: orders[len(p.Blocks):len(p.Blocks)], backward: true}
+	for _, b := range info.RPO {
+		if len(b.Succs) == 0 && bwd.num[b.ID] < 0 {
+			bwd.visit(b)
 		}
-		post = append(post, b)
 	}
-	dfs(p.Entry)
-	info.RPO = make([]*prog.Block, 0, len(post))
-	for i := len(post) - 1; i >= 0; i-- {
-		info.RPO = append(info.RPO, post[i])
-	}
-	for i, b := range info.RPO {
-		info.RPONum[b.ID] = i
-	}
-
-	info.computeDominators()
-	info.computePostdominators()
+	dominators(bwd.order(), bwd.num, true, info.IPDom)
 	return info
 }
 
@@ -72,190 +69,116 @@ func maxBlockID(p *prog.Proc) int {
 	return max
 }
 
-// computeDominators implements the Cooper/Harvey/Kennedy iterative
-// algorithm over reverse postorder.
-func (info *CFGInfo) computeDominators() {
-	entry := info.Proc.Entry
-	info.IDom[entry.ID] = entry
+// walk is a depth-first search over a CFG's successors, or its
+// predecessors when backward. num maps block ID to the block's position
+// in reverse postorder, -1 for blocks not reached.
+type walk struct {
+	num      []int
+	post     []*prog.Block
+	backward bool
+}
+
+func (w *walk) visit(b *prog.Block) {
+	w.num[b.ID] = 0
+	next := b.Succs
+	if w.backward {
+		next = b.Preds
+	}
+	for _, s := range next {
+		if w.num[s.ID] < 0 {
+			w.visit(s)
+		}
+	}
+	w.post = append(w.post, b)
+}
+
+// order returns the reached blocks in reverse postorder and numbers them.
+func (w *walk) order() []*prog.Block {
+	slices.Reverse(w.post)
+	for i, b := range w.post {
+		w.num[b.ID] = i
+	}
+	return w.post
+}
+
+// dominators fills idom, by block ID, with each block's immediate
+// dominator, using Cooper, Harvey and Kennedy's iterative algorithm over
+// order, the blocks a walk reached in reverse postorder, numbered by num.
+// Forward, the root is order[0] and a block's predecessors are its Preds.
+// Backward, the root is a virtual exit numbered before order[0]; a
+// block's predecessors are its Succs, or the virtual exit when it has
+// none, and a block whose immediate postdominator is the virtual exit
+// keeps a nil entry, as do the root and blocks outside order.
+func dominators(order []*prog.Block, num []int, backward bool, idom []*prog.Block) {
+	off := 0 // node k+off is order[k]; node 0 is the root
+	if backward {
+		off = 1
+	}
+	m := len(order) + off
+	edges := 0
+	for _, b := range order {
+		if backward {
+			edges += max(len(b.Succs), 1)
+		} else {
+			edges += len(b.Preds)
+		}
+	}
+	// One slab holds every node's dominator, the start of its
+	// predecessor list and the lists.
+	buf := make([]int32, 2*m+1+edges)
+	dom, start, pred := buf[:m], buf[m:2*m+1], buf[2*m+1:2*m+1]
+	for k, b := range order {
+		start[k+off] = int32(len(pred))
+		in := b.Preds
+		if backward {
+			in = b.Succs
+			if len(in) == 0 {
+				pred = append(pred, 0)
+			}
+		}
+		for _, q := range in {
+			if j := num[q.ID]; j >= 0 {
+				pred = append(pred, int32(j+off))
+			}
+		}
+	}
+	start[m] = int32(len(pred))
+
+	for i := range dom {
+		dom[i] = -1
+	}
+	dom[0] = 0
 	for changed := true; changed; {
 		changed = false
-		for _, b := range info.RPO {
-			if b == entry {
-				continue
-			}
-			var newIDom *prog.Block
-			for _, pred := range b.Preds {
-				if info.IDom[pred.ID] == nil {
-					continue // unprocessed or unreachable
+		for v := 1; v < m; v++ {
+			nd := int32(-1)
+			for _, q := range pred[start[v]:start[v+1]] {
+				switch {
+				case dom[q] < 0: // not yet processed
+				case nd < 0:
+					nd = q
+				default: // intersect: walk both fingers up to the common dominator
+					for q != nd {
+						for q > nd {
+							q = dom[q]
+						}
+						for nd > q {
+							nd = dom[nd]
+						}
+					}
 				}
-				if newIDom == nil {
-					newIDom = pred
-				} else {
-					newIDom = info.intersect(pred, newIDom)
-				}
 			}
-			if newIDom != nil && info.IDom[b.ID] != newIDom {
-				info.IDom[b.ID] = newIDom
+			if nd >= 0 && dom[v] != nd {
+				dom[v] = nd
 				changed = true
 			}
 		}
 	}
-	info.IDom[entry.ID] = nil // conventional: entry has no idom
-}
-
-func (info *CFGInfo) intersect(a, b *prog.Block) *prog.Block {
-	for a != b {
-		for info.RPONum[a.ID] > info.RPONum[b.ID] {
-			a = info.IDom[a.ID]
-			if a == nil {
-				return b
-			}
-		}
-		for info.RPONum[b.ID] > info.RPONum[a.ID] {
-			b = info.IDom[b.ID]
-			if b == nil {
-				return a
-			}
+	for k, b := range order {
+		if d := int(dom[k+off]) - off; k+off > 0 && d >= 0 {
+			idom[b.ID] = order[d]
 		}
 	}
-	return a
-}
-
-// computePostdominators computes dominators of the reversed CFG rooted at a
-// virtual exit node whose reverse-successors are all real exit blocks
-// (JR/HALT). Blocks that cannot reach any exit keep a nil IPDom.
-func (info *CFGInfo) computePostdominators() {
-	n := len(info.RPONum)
-	const virtualExit = -1 // sentinel index in parent arrays
-
-	// Reverse-graph RPO from the virtual exit: DFS over predecessors.
-	seen := make([]bool, n)
-	var post []*prog.Block
-	var dfs func(b *prog.Block)
-	dfs = func(b *prog.Block) {
-		seen[b.ID] = true
-		for _, p := range b.Preds {
-			if !seen[p.ID] {
-				dfs(p)
-			}
-		}
-		post = append(post, b)
-	}
-	for _, b := range info.RPO {
-		if len(b.Succs) == 0 && !seen[b.ID] {
-			dfs(b)
-		}
-	}
-	order := make([]*prog.Block, 0, len(post)) // reverse postorder
-	for i := len(post) - 1; i >= 0; i-- {
-		order = append(order, post[i])
-	}
-	num := make([]int, n)
-	for i := range num {
-		num[i] = -2 // unreachable from exit
-	}
-	for i, b := range order {
-		num[b.ID] = i
-	}
-
-	// parent[b] = immediate postdominator; virtualExit for exit blocks.
-	parent := make([]int, n) // stores block IDs, or virtualExit, or -2 unset
-	for i := range parent {
-		parent[i] = -2
-	}
-	byNum := order // byNum[i] has num i
-
-	intersect := func(a, b int) int { // a, b are nums or virtualExit
-		for a != b {
-			if a == virtualExit || b == virtualExit {
-				return virtualExit
-			}
-			for a > b {
-				p := parent[byNum[a].ID]
-				if p < 0 {
-					return virtualExit
-				}
-				a = num[p]
-			}
-			for b > a {
-				p := parent[byNum[b].ID]
-				if p < 0 {
-					return virtualExit
-				}
-				b = num[p]
-			}
-		}
-		return a
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, b := range order {
-			var newParent int
-			hasCand := false
-			if len(b.Succs) == 0 {
-				newParent = virtualExit
-				hasCand = true
-			} else {
-				cand := -2
-				for _, s := range b.Succs {
-					if num[s.ID] < 0 || (parent[s.ID] == -2 && len(s.Succs) != 0) {
-						continue // successor not yet processed or dead
-					}
-					sn := num[s.ID]
-					if cand == -2 {
-						cand = sn
-					} else {
-						cand = intersect(cand, sn)
-					}
-				}
-				if cand != -2 {
-					hasCand = true
-					if cand == virtualExit {
-						newParent = virtualExit
-					} else {
-						newParent = byNum[cand].ID
-					}
-				}
-			}
-			if hasCand {
-				var cur int
-				if len(b.Succs) == 0 {
-					cur = parent[b.ID]
-					if cur != virtualExit {
-						parent[b.ID] = virtualExit
-						changed = true
-					}
-					continue
-				}
-				cur = parent[b.ID]
-				// newParent here encodes: virtualExit or a block ID; but for
-				// intersect we stored nums — normalize comparisons via IDs.
-				if cur != newParent {
-					parent[b.ID] = newParent
-					changed = true
-				}
-			}
-		}
-	}
-
-	for _, b := range order {
-		p := parent[b.ID]
-		if p >= 0 {
-			info.IPDom[b.ID] = info.blockByID(p)
-		} else {
-			info.IPDom[b.ID] = nil // virtual exit or unreachable
-		}
-	}
-}
-
-func (info *CFGInfo) blockByID(id int) *prog.Block {
-	for _, b := range info.Proc.Blocks {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
 }
 
 // Dominates reports whether a dominates b (reflexive).

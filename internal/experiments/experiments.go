@@ -20,46 +20,56 @@
 // verifies every simulated run against the reference interpreter's output
 // and final memory before its cycle count is used.
 //
-// The harness is concurrent: a worker-pool Runner executes the
-// (workload, model, ablation) grid in parallel over one Pipeline and a
-// Store that memoizes each cell's verified result with singleflight
-// deduplication, so no two grid cells ever rebuild the same compiled
-// program or repeat a measurement, and results are bit-identical to a
-// serial run regardless of parallelism. The Store keeps no schedules (see
-// Store). Every entry point takes a context.Context and aborts promptly
-// when it is cancelled.
+// The harness is concurrent: each table measures its (workload ×
+// column) matrix on cache.ForEach over one Pipeline and a Store that
+// memoizes each measurement's verified result with singleflight
+// deduplication, so no two measurements ever rebuild the same compiled
+// program or repeat a run, and results are bit-identical to a serial run
+// regardless of parallelism. The Store keeps no schedules (see Store).
+// Every entry point takes a context.Context and aborts promptly when it
+// is cancelled.
 package experiments
 
 import (
 	"context"
 	"math"
+	"runtime"
 
+	"boosting/internal/cache"
 	"boosting/internal/core"
 	"boosting/internal/machine"
 	"boosting/internal/workloads"
 )
 
 // Suite runs experiments over the benchmark set. Every measurement is
-// memoized in the Store and shared between the table/figure functions;
-// the Runner executes measurement grids in parallel.
+// memoized in the Store and shared between the table/figure functions.
 type Suite struct {
 	Workloads []*workloads.Workload
 	// Store memoizes every verified result (concurrency-safe).
 	Store *Store
-	// Runner executes measurement grids; set Runner.Parallelism to bound
-	// concurrency (defaults to GOMAXPROCS).
-	Runner *Runner
+	// Runner bounds how many measurements run at once.
+	Runner Runner
 }
 
-// NewSuite returns a Suite over the full benchmark set, running grids at
+// Runner bounds a Suite's fan-out. Results do not depend on it: every
+// measurement is memoized with singleflight semantics and is independent
+// of the order measurements run in.
+type Runner struct {
+	// Parallelism bounds concurrent measurements; <= 0 means GOMAXPROCS.
+	Parallelism int
+}
+
+func (r Runner) workers() int {
+	if r.Parallelism > 0 {
+		return r.Parallelism
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// NewSuite returns a Suite over the full benchmark set, measuring at
 // GOMAXPROCS parallelism.
 func NewSuite() *Suite {
-	st := NewStore()
-	return &Suite{
-		Workloads: workloads.All(),
-		Store:     st,
-		Runner:    &Runner{Store: st},
-	}
+	return &Suite{Workloads: workloads.All(), Store: NewStore()}
 }
 
 // Metrics returns the counts accumulated so far: builds, schedule passes
@@ -70,17 +80,34 @@ func NewSuite() *Suite {
 // moving them.
 func (s *Suite) Metrics() Snapshot { return s.Store.Metrics() }
 
-// scalarCell is the grid cell for the R2000 baseline measurement.
-func scalarCell(w *workloads.Workload) Cell {
-	return Cell{Workload: w, Model: machine.Scalar(), Opts: core.Options{LocalOnly: true}, Alloc: true}
+// measurement is one column of a table: a verified cycle count for a
+// workload.
+type measurement func(ctx context.Context, w *workloads.Workload) (int64, error)
+
+// static is the column of a static machine model under scheduler
+// options, register-allocated or on infinite registers.
+func (s *Suite) static(model *machine.Model, opts core.Options, alloc bool) measurement {
+	return func(ctx context.Context, w *workloads.Workload) (int64, error) {
+		return s.Store.measure(ctx, w, model, opts, alloc)
+	}
 }
 
-// prefetch warms the store for the given cells in parallel. The
-// subsequent serial assembly loops then read memoized artifacts only,
-// keeping output byte-identical to a fully serial run.
-func (s *Suite) prefetch(ctx context.Context, cells []Cell) error {
-	_, err := s.Runner.Run(ctx, cells)
-	return err
+// matrix measures every workload under every column on the Runner's
+// fan-out and returns the cycles of workload i under column j at index
+// i*len(cols)+j. Measurements are handed out in that order, so at
+// Parallelism 1 they run workload-major. The first failure cancels the
+// rest, and the lowest-indexed real failure is returned.
+func (s *Suite) matrix(ctx context.Context, cols ...measurement) ([]int64, error) {
+	cycles := make([]int64, len(s.Workloads)*len(cols))
+	err := cache.ForEach(ctx, len(cycles), s.Runner.workers(), func(ctx context.Context, i int) error {
+		var err error
+		cycles[i], err = cols[i%len(cols)](ctx, s.Workloads[i/len(cols)])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cycles, nil
 }
 
 // GeoMean returns the geometric mean of vs.

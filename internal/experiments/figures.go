@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"strings"
 
+	"boosting/internal/cache"
 	"boosting/internal/core"
 	"boosting/internal/machine"
+	"boosting/internal/workloads"
 )
 
 // Figure9Row is one group of bars from Figure 9: speedups over the scalar
@@ -27,49 +29,29 @@ type Figure9Row struct {
 
 // Figure9 reproduces Figure 9.
 func (s *Suite) Figure9(ctx context.Context) ([]Figure9Row, float64, float64, error) {
-	var cells []Cell
-	for _, w := range s.Workloads {
-		cells = append(cells,
-			scalarCell(w),
-			Cell{Workload: w, Model: machine.MinBoost3(), Alloc: true},
-			Cell{Workload: w, Model: machine.MinBoost3(), Alloc: false},
-			Cell{Workload: w, Dynamic: true},
-			Cell{Workload: w, Dynamic: true, Renaming: true},
-		)
+	dynamic := func(renaming bool) measurement {
+		return func(ctx context.Context, w *workloads.Workload) (int64, error) {
+			return s.DynCycles(ctx, w, renaming)
+		}
 	}
-	if err := s.prefetch(ctx, cells); err != nil {
+	cycles, err := s.matrix(ctx, s.ScalarCycles,
+		s.static(machine.MinBoost3(), core.Options{}, true),
+		s.static(machine.MinBoost3(), core.Options{}, false),
+		dynamic(false), dynamic(true))
+	if err != nil {
 		return nil, 0, 0, err
 	}
-
 	var rows []Figure9Row
 	var mb3s, dyns []float64
-	for _, w := range s.Workloads {
-		scalar, err := s.ScalarCycles(ctx, w)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		mb3, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, true)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		mb3inf, err := s.Store.measure(ctx, w, machine.MinBoost3(), core.Options{}, false)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		dyn, err := s.DynCycles(ctx, w, false)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		dynRen, err := s.DynCycles(ctx, w, true)
-		if err != nil {
-			return nil, 0, 0, err
-		}
+	for i, w := range s.Workloads {
+		c := cycles[5*i : 5*i+5]
+		scalar := float64(c[0])
 		row := Figure9Row{
 			Name:           w.Name,
-			MinBoost3:      float64(scalar) / float64(mb3),
-			MinBoost3Inf:   float64(scalar) / float64(mb3inf),
-			Dynamic:        float64(scalar) / float64(dyn),
-			DynamicRenamed: float64(scalar) / float64(dynRen),
+			MinBoost3:      scalar / float64(c[1]),
+			MinBoost3Inf:   scalar / float64(c[2]),
+			Dynamic:        scalar / float64(c[3]),
+			DynamicRenamed: scalar / float64(c[4]),
 		}
 		rows = append(rows, row)
 		mb3s = append(mb3s, row.MinBoost3)
@@ -108,7 +90,7 @@ func (s *Suite) ExceptionCostsReport(ctx context.Context) (*ExceptionCosts, erro
 		HandlerOverhead: machine.MinBoost3().ExceptionOverhead,
 	}
 	growths := make([]float64, len(s.Workloads))
-	if err := ForEachLimited(ctx, len(s.Workloads), s.Runner.workers(), func(ctx context.Context, i int) error {
+	if err := cache.ForEach(ctx, len(s.Workloads), s.Runner.workers(), func(ctx context.Context, i int) error {
 		v, err := s.Store.run(ctx, s.Workloads[i], machine.MinBoost3(), core.Options{}, true, nil)
 		growths[i] = v.growth
 		return err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"boosting/internal/cache"
 	"boosting/internal/core"
 	"boosting/internal/machine"
 	"boosting/internal/memhier"
@@ -91,7 +92,7 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 		mcfgs[i] = &mcfg
 	}
 	nw := len(s.Workloads)
-	if err := ForEachLimited(ctx, (len(jobs)+1)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
+	if err := cache.ForEach(ctx, (len(jobs)+1)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
 		w := s.Workloads[i%nw]
 		if i < nw {
 			for _, mcfg := range mcfgs {

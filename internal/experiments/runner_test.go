@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -14,60 +15,56 @@ import (
 	"boosting/internal/workloads"
 )
 
-// fullGrid is the complete static+dynamic evaluation grid of the paper:
-// every workload on every machine configuration used by Tables 1–2 and
-// Figures 8–9.
-func fullGrid(s *Suite) []Cell {
-	var cells []Cell
-	for _, w := range s.Workloads {
-		cells = append(cells,
-			scalarCell(w),
-			Cell{Workload: w, Model: machine.NoBoost(), Opts: core.Options{LocalOnly: true}, Alloc: true},
-			Cell{Workload: w, Model: machine.NoBoost(), Alloc: true},
-			Cell{Workload: w, Model: machine.NoBoost(), Alloc: false},
-			Cell{Workload: w, Model: machine.Squashing(), Alloc: true},
-			Cell{Workload: w, Model: machine.Boost1(), Alloc: true},
-			Cell{Workload: w, Model: machine.MinBoost3(), Alloc: true},
-			Cell{Workload: w, Model: machine.MinBoost3(), Alloc: false},
-			Cell{Workload: w, Model: machine.Boost7(), Alloc: true},
-			Cell{Workload: w, Dynamic: true},
-			Cell{Workload: w, Dynamic: true, Renaming: true},
-		)
+// suiteResults is everything Table 1, Figure 8, Table 2 and Figure 9
+// return.
+type suiteResults struct {
+	T1         []Table1Row
+	F8         []Figure8Row
+	GmBB, GmGl float64
+	T2         []Table2Row
+	Geo        map[string]float64
+	F9         []Figure9Row
+	GmMB3      float64
+	GmDyn      float64
+}
+
+// runFour runs the four table/figure methods in the order cmd/experiments
+// does and returns the first error.
+func runFour(ctx context.Context, s *Suite) (r suiteResults, err error) {
+	if r.T1, err = s.Table1(ctx); err != nil {
+		return r, err
 	}
-	return cells
+	if r.F8, r.GmBB, r.GmGl, err = s.Figure8(ctx); err != nil {
+		return r, err
+	}
+	if r.T2, r.Geo, err = s.Table2(ctx); err != nil {
+		return r, err
+	}
+	r.F9, r.GmMB3, r.GmDyn, err = s.Figure9(ctx)
+	return r, err
 }
 
 // TestRunnerParallelMatchesSerial is the engine's determinism contract:
-// the full grid, run at parallelism 1 and at high parallelism (under the
-// race detector in `make test-race`), must produce identical results cell
-// for cell.
+// Table 1, Figure 8, Table 2 and Figure 9, measured at parallelism 1 and
+// at parallelism 8 (under the race detector in `make test-race`), return
+// exactly the same values, not merely the same rounded output.
 func TestRunnerParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full grids in -short mode")
+		t.Skip("two full evaluations in -short mode")
 	}
 	ctx := context.Background()
-
-	serial := NewSuite()
-	serial.Runner.Parallelism = 1
-	want, err := serial.Runner.Run(ctx, fullGrid(serial))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parallel := NewSuite()
-	parallel.Runner.Parallelism = 8
-	got, err := parallel.Runner.Run(ctx, fullGrid(parallel))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("result count %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Cycles != want[i].Cycles {
-			t.Errorf("%s: parallel %d cycles, serial %d", want[i].Cell, got[i].Cycles, want[i].Cycles)
+	var got [2]suiteResults
+	for i, p := range []int{1, 8} {
+		s := NewSuite()
+		s.Runner.Parallelism = p
+		r, err := runFour(ctx, s)
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", p, err)
 		}
+		got[i] = r
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Errorf("parallel results differ from serial:\n--- serial ---\n%+v\n--- parallel ---\n%+v", got[0], got[1])
 	}
 }
 
@@ -143,45 +140,53 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunnerCancellation: a context cancelled mid-grid aborts promptly
-// with an error wrapping context.Canceled.
+// TestRunnerCancellation: a context cancelled while the Suite measures
+// aborts promptly with an error wrapping context.Canceled, and an
+// already-cancelled context starts no work in any method.
 func TestRunnerCancellation(t *testing.T) {
 	s := NewSuite()
 	s.Runner.Parallelism = 2
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel shortly after the grid starts; the workers must notice at
-	// the next stage boundary.
+	// Cancel shortly after the evaluation starts; the measurements must
+	// notice at the next stage boundary.
 	go func() {
 		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := s.Runner.Run(ctx, fullGrid(s))
-	if err == nil {
-		t.Fatal("cancelled grid returned no error")
-	}
+	_, err := runFour(ctx, s)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
-	// "Promptly": well under the many seconds the full grid would take.
+	// "Promptly": well under the seconds the evaluation would take.
 	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("cancelled grid took %s to return", d)
+		t.Errorf("cancelled evaluation took %s to return", d)
 	}
 
-	// An already-cancelled context never starts work.
+	fresh := NewSuite()
 	done, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if _, err := s.Runner.Run(done, fullGrid(s)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled grid: err = %v", err)
+	if _, err := runFour(done, fresh); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled tables: err = %v", err)
+	}
+	if _, err := fresh.ExceptionCostsReport(done); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled exception costs: err = %v", err)
+	}
+	if _, err := fresh.MemHierAblation(done); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled memory ablation: err = %v", err)
+	}
+	if m := fresh.Metrics(); m.Builds != 0 || m.Simulations != 0 {
+		t.Errorf("pre-cancelled Suite did work: %+v", m)
 	}
 }
 
-// TestRunnerCellError: a failing cell aborts the grid with that cell's
-// error, not a knock-on cancellation. The broken workload builds
-// structurally different train/test programs, so profile transfer fails.
+// TestRunnerCellError: a failing measurement fails each table with that
+// measurement's error, not a knock-on cancellation. The broken workload
+// builds structurally different train/test programs, so profile
+// transfer fails.
 func TestRunnerCellError(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full grid with an injected failure in -short mode")
+		t.Skip("full evaluation with an injected failure in -short mode")
 	}
 	s := NewSuite()
 	s.Runner.Parallelism = 4
@@ -203,16 +208,25 @@ func TestRunnerCellError(t *testing.T) {
 		Train: workloads.Input{Size: 1},
 		Test:  workloads.Input{Size: 2},
 	}
-	cells := append(fullGrid(s), Cell{Workload: bad, Model: machine.MinBoost3(), Alloc: true})
-	_, err := s.Runner.Run(context.Background(), cells)
-	if err == nil {
-		t.Fatal("broken workload cell must fail the grid")
-	}
-	if errors.Is(err, context.Canceled) {
-		t.Errorf("grid error should surface the cell failure, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "broken") {
-		t.Errorf("error %q does not name the failing cell", err)
+	s.Workloads = append(s.Workloads, bad)
+	ctx := context.Background()
+	for name, run := range map[string]func() error{
+		"Table1":  func() error { _, err := s.Table1(ctx); return err },
+		"Figure8": func() error { _, _, _, err := s.Figure8(ctx); return err },
+		"Table2":  func() error { _, _, err := s.Table2(ctx); return err },
+		"Figure9": func() error { _, _, _, err := s.Figure9(ctx); return err },
+	} {
+		err := run()
+		if err == nil {
+			t.Errorf("%s: the broken workload must fail it", name)
+			continue
+		}
+		if errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error should surface the measurement failure, got %v", name, err)
+		}
+		if !strings.Contains(err.Error(), "broken") {
+			t.Errorf("%s: error %q does not name the failing workload", name, err)
+		}
 	}
 }
 
@@ -275,20 +289,6 @@ func TestCacheKeysIncludeAblations(t *testing.T) {
 		t.Errorf("prescheduled run clobbered the plain dynamic entry: %d vs %d", again, plain)
 	}
 	_ = pre
-}
-
-// TestCellString covers the grid-cell formatter used in error paths.
-func TestCellString(t *testing.T) {
-	s := NewSuite()
-	w := s.Workloads[0]
-	static := Cell{Workload: w, Model: machine.MinBoost3(), Alloc: true}
-	if got := static.String(); !strings.Contains(got, "awk/MinBoost3") {
-		t.Errorf("static cell = %q", got)
-	}
-	dyn := Cell{Workload: w, Dynamic: true, Renaming: true}
-	if got := dyn.String(); !strings.Contains(got, "dynamic(renaming=true)") {
-		t.Errorf("dynamic cell = %q", got)
-	}
 }
 
 // TestMetricsSnapshotFormat sanity-checks the metrics renderers.

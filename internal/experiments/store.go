@@ -131,12 +131,6 @@ func (st *Store) compile(ctx context.Context, w *workloads.Workload, alloc bool)
 	return st.pipe.CompileWorkload(ctx, w, boosting.WithInfiniteRegisters())
 }
 
-// isScalar reports whether a static cell is the R2000 baseline, which the
-// pipeline measures (and memoizes) itself.
-func isScalar(model *machine.Model, opts core.Options, alloc bool) bool {
-	return model.Name == machine.Scalar().Name && opts == (core.Options{LocalOnly: true}) && alloc
-}
-
 // scalar returns the workload's R2000 baseline under the memory
 // hierarchy (nil = perfect memory).
 func (st *Store) scalar(ctx context.Context, w *workloads.Workload, mem *memhier.Config) (int64, error) {
@@ -154,9 +148,6 @@ func (st *Store) scalar(ctx context.Context, w *workloads.Workload, mem *memhier
 // memory.
 func (st *Store) measure(ctx context.Context, w *workloads.Workload, model *machine.Model,
 	opts core.Options, alloc bool) (int64, error) {
-	if isScalar(model, opts, alloc) {
-		return st.scalar(ctx, w, nil)
-	}
 	v, err := st.run(ctx, w, model, opts, alloc, nil)
 	if err != nil {
 		return 0, err

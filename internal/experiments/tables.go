@@ -25,28 +25,20 @@ type Table1Row struct {
 
 // Table1 reproduces Table 1.
 func (s *Suite) Table1(ctx context.Context) ([]Table1Row, error) {
-	var cells []Cell
-	for _, w := range s.Workloads {
-		cells = append(cells, scalarCell(w))
-	}
-	if err := s.prefetch(ctx, cells); err != nil {
+	cycles, err := s.matrix(ctx, s.ScalarCycles)
+	if err != nil {
 		return nil, err
 	}
-
 	var rows []Table1Row
-	for _, w := range s.Workloads {
-		cycles, err := s.ScalarCycles(ctx, w)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range s.Workloads {
 		c, err := s.Store.compile(ctx, w, true)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Table1Row{
 			Name:     w.Name,
-			Cycles:   cycles,
-			IPC:      float64(c.ReferenceInsts()) / float64(cycles),
+			Cycles:   cycles[i],
+			IPC:      float64(c.ReferenceInsts()) / float64(cycles[i]),
 			Accuracy: c.PredictionAccuracy(),
 		})
 	}
@@ -80,43 +72,23 @@ type Figure8Row struct {
 
 // Figure8 reproduces Figure 8.
 func (s *Suite) Figure8(ctx context.Context) ([]Figure8Row, float64, float64, error) {
-	var cells []Cell
-	for _, w := range s.Workloads {
-		cells = append(cells,
-			scalarCell(w),
-			Cell{Workload: w, Model: machine.NoBoost(), Opts: core.Options{LocalOnly: true}, Alloc: true},
-			Cell{Workload: w, Model: machine.NoBoost(), Alloc: true},
-			Cell{Workload: w, Model: machine.NoBoost(), Alloc: false},
-		)
-	}
-	if err := s.prefetch(ctx, cells); err != nil {
+	cycles, err := s.matrix(ctx, s.ScalarCycles,
+		s.static(machine.NoBoost(), core.Options{LocalOnly: true}, true),
+		s.static(machine.NoBoost(), core.Options{}, true),
+		s.static(machine.NoBoost(), core.Options{}, false))
+	if err != nil {
 		return nil, 0, 0, err
 	}
-
 	var rows []Figure8Row
 	var bbs, gls []float64
-	for _, w := range s.Workloads {
-		scalar, err := s.ScalarCycles(ctx, w)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		bb, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{LocalOnly: true}, true)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		gl, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{}, true)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		inf, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{}, false)
-		if err != nil {
-			return nil, 0, 0, err
-		}
+	for i, w := range s.Workloads {
+		c := cycles[4*i : 4*i+4]
+		scalar := float64(c[0])
 		row := Figure8Row{
 			Name:       w.Name,
-			BasicBlock: float64(scalar) / float64(bb),
-			Global:     float64(scalar) / float64(gl),
-			GlobalInf:  float64(scalar) / float64(inf),
+			BasicBlock: scalar / float64(c[1]),
+			Global:     scalar / float64(c[2]),
+			GlobalInf:  scalar / float64(c[3]),
 		}
 		rows = append(rows, row)
 		bbs = append(bbs, row.BasicBlock)
@@ -155,31 +127,22 @@ func (s *Suite) Table2(ctx context.Context) ([]Table2Row, map[string]float64, er
 		"MinBoost3": machine.MinBoost3(),
 		"Boost7":    machine.Boost7(),
 	}
-	var cells []Cell
-	for _, w := range s.Workloads {
-		cells = append(cells, Cell{Workload: w, Model: machine.NoBoost(), Alloc: true})
-		for _, name := range Table2Models {
-			cells = append(cells, Cell{Workload: w, Model: models[name], Alloc: true})
-		}
+	cols := []measurement{s.static(machine.NoBoost(), core.Options{}, true)}
+	for _, name := range Table2Models {
+		cols = append(cols, s.static(models[name], core.Options{}, true))
 	}
-	if err := s.prefetch(ctx, cells); err != nil {
+	cycles, err := s.matrix(ctx, cols...)
+	if err != nil {
 		return nil, nil, err
 	}
 
 	ratios := map[string][]float64{}
 	var rows []Table2Row
-	for _, w := range s.Workloads {
-		base, err := s.Store.measure(ctx, w, machine.NoBoost(), core.Options{}, true)
-		if err != nil {
-			return nil, nil, err
-		}
+	for i, w := range s.Workloads {
+		c := cycles[len(cols)*i : len(cols)*(i+1)]
 		row := Table2Row{Name: w.Name, Improvement: map[string]float64{}}
-		for _, name := range Table2Models {
-			c, err := s.Store.measure(ctx, w, models[name], core.Options{}, true)
-			if err != nil {
-				return nil, nil, err
-			}
-			ratio := float64(base) / float64(c)
+		for j, name := range Table2Models {
+			ratio := float64(c[0]) / float64(c[j+1])
 			row.Improvement[name] = ratio - 1
 			ratios[name] = append(ratios[name], ratio)
 		}

@@ -169,6 +169,9 @@ func (p *parser) directive(s string) (done bool, err error) {
 	if !ok {
 		return false, nil
 	}
+	if name != ".ascii" {
+		arg, _, _ = strings.Cut(arg, ";")
+	}
 	switch name {
 	case ".proc":
 		if err := p.finishProc(); err != nil {
@@ -209,10 +212,16 @@ func (p *parser) directive(s string) (done bool, err error) {
 		}
 		return true, nil
 	case ".ascii":
-		str, err := strconv.Unquote(strings.TrimSpace(arg))
+		// The string may hold a ';', so a comment can start only after it.
+		arg = strings.TrimSpace(arg)
+		quoted, err := strconv.QuotedPrefix(arg)
+		if rest := strings.TrimSpace(arg[len(quoted):]); err == nil && rest != "" && rest[0] != ';' {
+			err = strconv.ErrSyntax
+		}
 		if err != nil {
 			return true, fmt.Errorf("bad .ascii string: %w", err)
 		}
+		str, _ := strconv.Unquote(quoted) // QuotedPrefix accepted it
 		if str != "" {
 			if err := p.dataAfterReserve(name); err != nil {
 				return true, err
@@ -637,15 +646,12 @@ func (p *parser) inst(s string) error {
 			return err
 		}
 		in := isa.Inst{Op: op, Rd: rd, Rs: rs}
-		// Only an operand that starts like a register can be one; an
-		// immediate goes straight to parseInt.
-		isReg := false
+		// An operand that starts like a register is one; an immediate
+		// goes straight to parseInt.
 		if c := ops[2][0]; c == 'r' || c == 'v' {
-			if rt, err := p.reg(ops[2]); err == nil {
-				in.Rt, isReg = rt, true
+			if in.Rt, err = p.reg(ops[2]); err != nil {
+				return err
 			}
-		}
-		if isReg {
 			// Immediate-form ops never take a third register.
 			if isImmOp(op) {
 				return fmt.Errorf("%s takes an immediate", mn)
@@ -674,6 +680,12 @@ func isImmOp(op isa.Op) bool {
 	return false
 }
 
+// maxVirtual bounds the virtual register numbers a program may name.
+// Register sets are sized by the largest number a program names, so an
+// unbounded vN would let a short body claim memory in proportion to N or
+// wrap past int32.
+const maxVirtual = 1 << 16
+
 // reg parses "r12", "v3", or a boost-suffixed form like "r4.B2" (the
 // suffix is rejected: parsed programs are pre-scheduling).
 func (p *parser) reg(s string) (isa.Reg, error) {
@@ -695,6 +707,9 @@ func (p *parser) reg(s string) (isa.Reg, error) {
 		}
 		return isa.Reg(n), nil
 	case 'v':
+		if n >= maxVirtual {
+			return 0, fmt.Errorf("virtual register out of range: %q", s)
+		}
 		p.pr.EnsureVirtual(int32(n) + 1)
 		return isa.FirstVirtual + isa.Reg(n), nil
 	}

@@ -83,6 +83,12 @@ func TestParseErrors(t *testing.T) {
 		{"no main", ".proc foo\n\thalt\n", "prog: no .proc main"},
 		{"bad mnemonic", ".proc main\n\tfrobnicate r1, r2, r3\n\thalt\n", `line 2: unknown mnemonic "frobnicate"`},
 		{"bad register", ".proc main\n\tadd r99, r1, r2\n\thalt\n", `line 2: architectural register out of range: "r99"`},
+		{"bad third register", ".proc main\n\tadd r1, r2, r99\n\thalt\n", `line 2: architectural register out of range: "r99"`},
+		{"bad third register name", ".proc main\n\tadd r1, r2, rx\n\thalt\n", `line 2: bad register "rx"`},
+		{"virtual register past the cap", ".proc main\n\taddi v65536, r0, 1\n\thalt\n", `line 2: virtual register out of range: "v65536"`},
+		{"huge virtual register", ".proc main\n\taddi v100000000, r0, 1\n\thalt\n", `line 2: virtual register out of range: "v100000000"`},
+		{"int32-max virtual register", ".proc main\n\taddi v1, v2147483647, 1\n\thalt\n", `line 2: virtual register out of range: "v2147483647"`},
+		{"virtual register past uint32", ".proc main\n\tadd v1, v2, v4294967300\n\thalt\n", `line 2: virtual register out of range: "v4294967300"`},
 		{"undefined label", ".proc main\n\tj nowhere\n", `undefined label "nowhere" in "j nowhere"`},
 		{"boost suffix", ".proc main\n\tadd r1.B2, r2, r3\n\thalt\n", `line 2: boost suffix not allowed in source: "r1.B2"`},
 		{"imm on reg op", ".proc main\n\tadd r1, r2, 5\n\thalt\n", "line 2: add takes a register"},
@@ -94,6 +100,8 @@ func TestParseErrors(t *testing.T) {
 		{"two words", ".word 1 2\n.proc main\n\thalt\n", "line 1: strconv.ParseInt: parsing \"1 2\": invalid syntax"},
 		{"bad byte", ".byte 1 zz\n.proc main\n\thalt\n", "line 1: strconv.ParseInt: parsing \"zz\": invalid syntax"},
 		{"bad ascii", ".ascii hi\n.proc main\n\thalt\n", "line 1: bad .ascii string: invalid syntax"},
+		{"text after ascii", ".ascii \"a\" b\n.proc main\n\thalt\n", "line 1: bad .ascii string: invalid syntax"},
+		{"only a comment for a proc name", ".proc ; the entry\n\thalt\n", "line 1: empty procedure name"},
 		{"zero align", ".align 0\n.proc main\n\thalt\n", "line 1: bad alignment 0"},
 		{"bad align", ".align x\n.proc main\n\thalt\n", "line 1: strconv.ParseInt: parsing \"x\": invalid syntax"},
 		{"negative reserve", ".reserve -1\n.proc main\n\thalt\n", "line 1: bad reserve size -1"},
@@ -238,8 +246,9 @@ b:
 // TestParseAcceptedSpellings pins the lenient spellings the parser
 // accepts: each source must parse to exactly the program its canonical
 // spelling parses to. They cover strconv's number syntax (base prefixes,
-// underscores, signs), Atoi's sign on register numbers, mnemonic case,
-// tabs and Unicode spaces as separators, and the annotation forms.
+// underscores, signs), Atoi's sign and leading zeros on register numbers,
+// mnemonic case, tabs and Unicode spaces as separators, comments after
+// directives, and the annotation forms.
 func TestParseAcceptedSpellings(t *testing.T) {
 	cases := []struct{ name, src, canon string }{
 		{"number syntax",
@@ -260,6 +269,12 @@ func TestParseAcceptedSpellings(t *testing.T) {
 		{"comments and annotations",
 			"# header\n.proc main\na: ; entry\n\taddi v0, r0, 1 ; set\n\tbgtz v0 ; taken ; taken->a  fall->b\nb:\n\tj -> c ; done\nc:\n\thalt # stop\n",
 			".proc main\na:\n\taddi v0, r0, 1\n\tbgtz v0, a, b ;taken\nb:\n\tj c\nc:\n\thalt\n"},
+		{"directive comments",
+			".word 5 ; five\n.byte 1 2;pair\n.ascii \"a;b\" ; c\n.ascii \"d\";e\n.align 4 ; pad\n.reserve 8 ; bss\n.proc main ; the entry\n\thalt\n",
+			".word 5\n.byte 1 2\n.ascii \"a;b\"\n.ascii \"d\"\n.align 4\n.reserve 8\n.proc main\n\thalt\n"},
+		{"largest virtual register",
+			".proc main\n\taddi v0065535, r0, 1\n\thalt\n",
+			".proc main\n\taddi v65535, r0, 1\n\thalt\n"},
 		{"arrow forms",
 			".proc main\n\taddi v0, r0, 1\n\t-> b\nb:\n\taddi v1, r0, 2 ;fallthrough\n\t;fallthrough -> c\nc:\n\tjal leaf -> d\nd:\n\thalt\n.proc leaf\n\tjr r31\n",
 			".proc main\n\taddi v0, r0, 1\n\t;fallthrough -> b\nb:\n\taddi v1, r0, 2\n\t;fallthrough -> c\nc:\n\tjal leaf\nd:\n\thalt\n.proc leaf\n\tjr r31\n"},

@@ -7,7 +7,7 @@ import (
 	"net/http"
 
 	"boosting"
-	"boosting/internal/experiments"
+	"boosting/internal/cache"
 	"boosting/internal/machine"
 )
 
@@ -107,9 +107,10 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (int, any) {
 	return http.StatusOK, resp
 }
 
-// grid runs a workload × model × ablation sweep, fanned out over the
-// experiment harness's bounded worker pool. One grid request holds one
-// admission slot; its internal parallelism is capped by the server.
+// grid runs a workload × model × ablation sweep as one Pipeline.Grid
+// call, or as gridMemSweep when the request carries mem_sweep. One grid
+// request holds one admission slot; its internal parallelism is capped
+// by the server.
 func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 	workloadNames := req.Workloads
 	if len(workloadNames) == 0 {
@@ -146,16 +147,6 @@ func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 			}
 		}
 	}
-	if req.Mem != nil {
-		// Every cell — including the scalar baselines the pipeline
-		// measures internally — runs under the requested hierarchy.
-		memOpt := boosting.WithMemHier(req.Mem.config())
-		for i := range cells {
-			opts := make([]boosting.Option, len(cells[i].Opts), len(cells[i].Opts)+1)
-			copy(opts, cells[i].Opts)
-			cells[i].Opts = append(opts, memOpt)
-		}
-	}
 	total := len(cells)
 	if n := len(req.MemSweep); n > 0 {
 		total *= n
@@ -172,31 +163,30 @@ func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 	if len(req.MemSweep) > 0 {
 		return s.gridMemSweep(ctx, req, cells, workers)
 	}
-	rows := make([]GridRow, len(cells))
-	err := experiments.ForEachLimited(ctx, len(cells), workers, func(ctx context.Context, i int) error {
-		cell := cells[i]
-		rows[i] = GridRow{Workload: cell.Workload, Model: cell.Model.Name, Ablation: cell.Label}
-		res, err := s.pipe.Run(ctx, cell.Workload, cell.Model, cell.Opts...)
-		switch {
-		case err == nil:
-			rows[i].Cycles = res.Cycles
-			rows[i].Speedup = res.Speedup
-		case ctx.Err() != nil:
-			// The request itself was cancelled or timed out.
-			return ctx.Err()
-		default:
+	opts := []boosting.Option{boosting.WithParallelism(workers)}
+	if req.Mem != nil {
+		// Every cell — including the scalar baselines the pipeline
+		// measures internally — runs under the requested hierarchy.
+		opts = append(opts, boosting.WithMemHier(req.Mem.config()))
+	}
+	results, err := s.pipe.Grid(ctx, cells, opts...)
+	if err != nil {
+		// Only the request's own cancellation or deadline fails the
+		// grid; serveHeavy turns it into 503/closed-connection.
+		return 0, nil
+	}
+	rows := make([]GridRow, len(results))
+	for i, r := range results {
+		rows[i] = GridRow{Workload: r.Cell.Workload, Model: r.Cell.Model.Name, Ablation: r.Cell.Label}
+		if r.Err != nil {
 			// A failing cell — including one that inherited a cancelled
 			// flight from an unrelated request's pipeline memo — is
-			// reported in its row; it must not abort the rest of the
-			// sweep.
-			rows[i].Error = err.Error()
+			// reported in its row.
+			rows[i].Error = r.Err.Error()
+			continue
 		}
-		return nil
-	})
-	if err != nil {
-		// Only context errors escape the per-cell handling above;
-		// serveHeavy turns them into 503/closed-connection.
-		return 0, nil
+		rows[i].Cycles = r.Result.Cycles
+		rows[i].Speedup = r.Result.Speedup
 	}
 	return http.StatusOK, GridResponse{SchemaVersion: SchemaVersion, Cells: len(cells), Rows: rows}
 }
@@ -204,7 +194,7 @@ func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 // gridMemSweep is the mem_sweep form of the grid: each cell schedules its
 // program once and runs every requested memory hierarchy as a lane of one
 // lockstep batched execution (Pipeline.SimulateBatch), producing one row
-// per (cell, hierarchy). The worker pool fans out over cells; the
+// per (cell, hierarchy). cache.ForEach fans out over cells; the
 // per-cell hierarchy fan-out is the batch itself.
 func (s *Server) gridMemSweep(ctx context.Context, req GridRequest, cells []boosting.GridCell, workers int) (int, any) {
 	n := len(req.MemSweep)
@@ -216,7 +206,7 @@ func (s *Server) gridMemSweep(ctx context.Context, req GridRequest, cells []boos
 		lanes[k] = []boosting.Option{boosting.WithMemHier(cfg)}
 	}
 	rows := make([]GridRow, len(cells)*n)
-	err := experiments.ForEachLimited(ctx, len(cells), workers, func(ctx context.Context, i int) error {
+	err := cache.ForEach(ctx, len(cells), workers, func(ctx context.Context, i int) error {
 		cell := cells[i]
 		cellRows := rows[i*n : (i+1)*n]
 		for k := range cellRows {

@@ -169,6 +169,26 @@ func TestGridWithMem(t *testing.T) {
 		t.Errorf("mem grid cell %d cycles, want > perfect %d",
 			hier.Rows[0].Cycles, perfect.Rows[0].Cycles)
 	}
+
+	// The row's speedup is over the scalar baseline measured under the
+	// same hierarchy, as /v1/simulate reports it.
+	var sims [2]SimulateResponse
+	for i, mem := range []string{``, `, "mem": {"l1_sets": 64, "l1_ways": 1, "l1_line_bytes": 16}`} {
+		resp, b := post(t, ts, "/v1/simulate", `{"workload": "grep", "model": "MinBoost3"`+mem+`}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("simulate = %d: %s", resp.StatusCode, b)
+		}
+		if err := json.Unmarshal(b, &sims[i]); err != nil {
+			t.Fatalf("decoding: %v", err)
+		}
+	}
+	if sims[1].ScalarCycles <= sims[0].ScalarCycles {
+		t.Fatalf("scalar baseline under mem %d cycles, want > perfect %d", sims[1].ScalarCycles, sims[0].ScalarCycles)
+	}
+	if hier.Rows[0].Cycles != sims[1].Cycles || hier.Rows[0].Speedup != sims[1].Speedup {
+		t.Errorf("mem grid row %+v, want the mem simulate's %d cycles and %v speedup",
+			hier.Rows[0], sims[1].Cycles, sims[1].Speedup)
+	}
 }
 
 // TestGridMemSweep: mem_sweep fans each cell out over several memory

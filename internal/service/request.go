@@ -361,8 +361,8 @@ type SimulateResponse struct {
 }
 
 // GridRequest asks /v1/grid for an ablation sweep: every requested
-// workload × model × ablation cell, fanned out over the experiment
-// harness's worker pool. Empty lists default to the full set.
+// workload × model × ablation cell, run in parallel. Empty lists default
+// to the full set.
 type GridRequest struct {
 	Workloads []string `json:"workloads,omitempty"`
 	Models    []string `json:"models,omitempty"`

@@ -5,8 +5,7 @@
 //	POST /v1/compile   assembly in → scheduled assembly + schedule stats
 //	POST /v1/simulate  workload or assembly + machine config in →
 //	                   verified cycle counts + speculation stats
-//	POST /v1/grid      ablation sweep fanned out over the experiment
-//	                   harness's worker pool
+//	POST /v1/grid      ablation sweep run as one Pipeline.Grid
 //	GET  /healthz      liveness
 //	GET  /metrics      Prometheus text format (hand-rolled)
 //

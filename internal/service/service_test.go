@@ -212,6 +212,24 @@ func TestDataAfterReserveIs400(t *testing.T) {
 	}
 }
 
+// TestVirtualRegisterCapIs400: a body naming a virtual register past
+// the parser's cap is a bad request on both assembly endpoints, not a
+// panic deep in the register allocator.
+func TestVirtualRegisterCapIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	asm := ".proc main\n\taddi v2147483647, r0, 1\n\tout v2147483647\n\thalt\n"
+	for _, path := range []string{"/v1/simulate", "/v1/compile"} {
+		body, _ := json.Marshal(map[string]string{"asm": asm, "model": "MinBoost3"})
+		resp, b := post(t, ts, path, string(body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", path, resp.StatusCode, b)
+		}
+		if want := `line 2: virtual register out of range: \"v2147483647\"`; !strings.Contains(string(b), want) {
+			t.Errorf("%s: body %s lacks %s", path, b, want)
+		}
+	}
+}
+
 func TestSimulateWorkloadAndDynamic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload simulation in -short mode")
@@ -611,9 +629,12 @@ func TestGridEndpoint(t *testing.T) {
 	if gr.Cells != 2 || len(gr.Rows) != 2 {
 		t.Fatalf("grid cells = %d rows = %d, want 2/2", gr.Cells, len(gr.Rows))
 	}
-	for _, row := range gr.Rows {
+	for i, row := range gr.Rows {
 		if row.Error != "" || row.Cycles <= 0 || row.Speedup <= 0 {
 			t.Errorf("bad grid row: %+v", row)
+		}
+		if ab := []string{"baseline", "no-disamb"}[i]; row.Workload != "grep" || row.Model != "MinBoost3" || row.Ablation != ab {
+			t.Errorf("row %d = %s/%s/%s, want grep/MinBoost3/%s", i, row.Workload, row.Model, row.Ablation, ab)
 		}
 	}
 

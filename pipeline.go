@@ -662,43 +662,27 @@ type GridResult struct {
 
 // Grid compiles and simulates every cell concurrently (bounded by
 // WithParallelism, default GOMAXPROCS) and returns results in cell
-// order regardless of completion order. Shared artifacts — compiled
+// order regardless of completion order. opts apply to every cell, under
+// the cell's own Opts, as Run layers them. Shared artifacts — compiled
 // pairs, scalar baselines — are built exactly once across the whole
 // grid. A failing cell records its error in its GridResult and does not
-// stop the other cells; cancelling ctx stops the batch, and Grid then
-// returns the first context error wrapped alongside the partial
-// results.
-func (p *Pipeline) Grid(ctx context.Context, cells []GridCell) ([]GridResult, error) {
+// stop the other cells; cancelling ctx stops the batch, every unfinished
+// cell records the context error, and Grid returns that error wrapped
+// alongside the partial results.
+func (p *Pipeline) Grid(ctx context.Context, cells []GridCell, opts ...Option) ([]GridResult, error) {
 	results := make([]GridResult, len(cells))
 	for i, c := range cells {
 		results[i].Cell = c
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workers := p.base.workers()
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	for n := 0; n < workers; n++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				cell := cells[i]
-				results[i].Result, results[i].Err = p.Run(ctx, cell.Workload, cell.Model, cell.Opts...)
-			}
-		}()
-	}
-feed:
-	for i := range cells {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
+	// A cell's failure is its result, so only the end of ctx stops the
+	// fan-out; ctx.Err() also catches an end that came after the last
+	// cell started.
+	_ = cache.ForEach(ctx, len(cells), p.base.apply(opts).workers(), func(ctx context.Context, i int) error {
+		c := cells[i]
+		cellOpts := append(append(make([]Option, 0, len(opts)+len(c.Opts)), opts...), c.Opts...)
+		results[i].Result, results[i].Err = p.Run(ctx, c.Workload, c.Model, cellOpts...)
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
 		for i := range results {
 			if results[i].Result == nil && results[i].Err == nil {

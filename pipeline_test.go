@@ -138,10 +138,10 @@ func TestPipelineGrid(t *testing.T) {
 	ctx := context.Background()
 	ms := Models()
 	cells := []GridCell{
-		{Workload: WorkloadGrep, Model: ms.MinBoost3},
-		{Workload: WorkloadGrep, Model: ms.NoBoost, Opts: []Option{WithLocalOnly()}},
-		{Workload: "nope", Model: ms.Boost1},
-		{Workload: WorkloadCompress, Model: ms.Boost7},
+		{Workload: WorkloadGrep, Model: ms.MinBoost3, Label: "a"},
+		{Workload: WorkloadGrep, Model: ms.NoBoost, Opts: []Option{WithLocalOnly()}, Label: "b"},
+		{Workload: "nope", Model: ms.Boost1, Label: "c"},
+		{Workload: WorkloadCompress, Model: ms.Boost7, Label: "d"},
 	}
 
 	serial, err := NewPipeline(WithParallelism(1)).Grid(ctx, cells)
@@ -154,6 +154,9 @@ func TestPipelineGrid(t *testing.T) {
 	}
 	for i := range cells {
 		s, p := serial[i], parallel[i]
+		if s.Cell.Label != cells[i].Label || p.Cell.Label != cells[i].Label {
+			t.Errorf("result %d holds cells %q and %q, want %q", i, s.Cell.Label, p.Cell.Label, cells[i].Label)
+		}
 		if (s.Err == nil) != (p.Err == nil) {
 			t.Fatalf("cell %d: serial err %v, parallel err %v", i, s.Err, p.Err)
 		}
@@ -196,12 +199,15 @@ func TestPipelineCancellation(t *testing.T) {
 		cells = append(cells, GridCell{Workload: w, Model: Models().MinBoost3})
 	}
 	results, err := p.Grid(cancelled, cells)
-	if !errors.Is(err, context.Canceled) {
+	if !errors.Is(err, context.Canceled) || !strings.HasPrefix(err.Error(), "boosting: grid aborted: ") {
 		t.Errorf("Grid on cancelled ctx: %v", err)
 	}
+	if len(results) != len(cells) {
+		t.Fatalf("Grid on cancelled ctx returned %d results for %d cells", len(results), len(cells))
+	}
 	for i, r := range results {
-		if r.Err == nil && r.Result == nil {
-			t.Errorf("cell %d left with neither result nor error", i)
+		if r.Result != nil || !errors.Is(r.Err, context.Canceled) {
+			t.Errorf("cell %d = %v, %v; want no result and the context error", i, r.Result, r.Err)
 		}
 	}
 }
