@@ -22,9 +22,16 @@ import (
 // Successful results (and non-context errors) are memoized forever.
 // Results that fail with context.Canceled or context.DeadlineExceeded are
 // forgotten so a later call under a live context can retry.
+//
+// A completed, successful entry may also get one second address (Alias),
+// a fixed-size digest under which Resolve finds it without its key.
 type Memo[V any] struct {
 	mu      sync.Mutex
 	entries map[string]*memoEntry[V]
+	// addrs holds every entry's second address. An entry is in it exactly
+	// while it is in entries, has completed without error, and was
+	// aliased. It is made by the first Alias.
+	addrs map[Addr]*memoEntry[V]
 
 	hits, misses atomic.Int64
 }
@@ -33,7 +40,15 @@ type memoEntry[V any] struct {
 	done chan struct{} // closed when val/err are final
 	val  V
 	err  error
+	// addr is the entry's second address when addrs maps it to the
+	// entry; otherwise it means nothing.
+	addr Addr
 }
+
+// Addr is a second address for a memoized value: a digest, such as the
+// sha256 of the input the value was computed from, that names it more
+// cheaply than its key can be derived.
+type Addr [32]byte
 
 // NewMemo returns an empty memo table.
 func NewMemo[V any]() *Memo[V] {
@@ -91,8 +106,67 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, 
 
 func (m *Memo[V]) forget(key string) {
 	m.mu.Lock()
-	delete(m.entries, key)
+	if e, ok := m.entries[key]; ok {
+		m.drop(key, e)
+	}
 	m.mu.Unlock()
+}
+
+// drop removes key's entry e and its second address. m.mu must be held.
+func (m *Memo[V]) drop(key string, e *memoEntry[V]) {
+	if m.addrs[e.addr] == e {
+		delete(m.addrs, e.addr)
+	}
+	delete(m.entries, key)
+}
+
+// Alias gives key's entry the second address addr and reports whether it
+// did. It does nothing unless the entry has completed without error. An
+// entry keeps the first address it is given, an address names one entry,
+// and forgetting or evicting the entry drops its address.
+func (m *Memo[V]) Alias(key string, addr Addr) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.entries[key]
+	if !ok || m.addrs[e.addr] == e || m.addrs[addr] != nil {
+		return false
+	}
+	select {
+	case <-e.done:
+	default:
+		return false // in flight
+	}
+	if e.err != nil {
+		return false
+	}
+	if m.addrs == nil {
+		m.addrs = map[Addr]*memoEntry[V]{}
+	}
+	e.addr = addr
+	m.addrs[addr] = e
+	return true
+}
+
+// Resolve returns the value whose entry has the second address addr,
+// counting a hit as Do does. It reports false, and counts nothing, when
+// no entry in the table has that address.
+func (m *Memo[V]) Resolve(addr Addr) (V, bool) {
+	m.mu.Lock()
+	e := m.addrs[addr]
+	m.mu.Unlock()
+	if e == nil {
+		var zero V
+		return zero, false
+	}
+	m.hits.Add(1)
+	return e.val, true
+}
+
+// Aliases returns the number of entries that have a second address.
+func (m *Memo[V]) Aliases() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.addrs)
 }
 
 // Forget drops the memoized entry for key, if any. Callers use it to
@@ -142,7 +216,7 @@ func (m *Memo[V]) EvictIf(pred func(key string) bool) int {
 			continue // in flight
 		}
 		if pred(k) {
-			delete(m.entries, k)
+			m.drop(k, e)
 			n++
 		}
 	}

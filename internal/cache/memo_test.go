@@ -247,3 +247,153 @@ func TestMemoEvictIfSkipsInFlight(t *testing.T) {
 		t.Fatalf("EvictIf after completion evicted %d, want 1", n)
 	}
 }
+
+// TestMemoAlias: a completed entry answers at its one second address,
+// and Resolve counts a hit only when it finds one.
+func TestMemoAlias(t *testing.T) {
+	m := NewMemo[int]()
+	ctx := context.Background()
+	a, b := Addr{1}, Addr{2}
+	if _, err := m.Do(ctx, "k", func() (int, error) { return 42, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m.Resolve(a); ok {
+		t.Fatal("Resolve found an address nobody gave")
+	}
+	if hits, misses := m.Stats(); hits != 0 || misses != 1 {
+		t.Fatalf("a failed Resolve counted: stats = (%d, %d), want (0, 1)", hits, misses)
+	}
+	if !m.Alias("k", a) {
+		t.Fatal("Alias of a completed entry = false")
+	}
+	if m.Alias("k", b) {
+		t.Error("an entry took a second address")
+	}
+	if _, err := m.Do(ctx, "k2", func() (int, error) { return 7, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if m.Alias("k2", a) {
+		t.Error("an address moved to another entry")
+	}
+	for i := 0; i < 3; i++ {
+		if v, ok := m.Resolve(a); !ok || v != 42 {
+			t.Fatalf("Resolve = %d, %v, want 42, true", v, ok)
+		}
+	}
+	if _, ok := m.Resolve(b); ok {
+		t.Error("the refused address resolves")
+	}
+	if hits, misses := m.Stats(); hits != 3 || misses != 2 {
+		t.Errorf("stats = (%d, %d), want (3, 2)", hits, misses)
+	}
+	if n := m.Aliases(); n != 1 {
+		t.Errorf("Aliases = %d, want 1", n)
+	}
+}
+
+// TestMemoAliasNeedsCompletedSuccess: a missing key, a flight still
+// running and a memoized error get no address.
+func TestMemoAliasNeedsCompletedSuccess(t *testing.T) {
+	m := NewMemo[int]()
+	ctx := context.Background()
+	if m.Alias("missing", Addr{1}) {
+		t.Error("Alias of a missing key = true")
+	}
+	m.Do(ctx, "failed", func() (int, error) { return 0, errors.New("boom") })
+	if m.Alias("failed", Addr{2}) {
+		t.Error("Alias of a memoized error = true")
+	}
+
+	started, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Do(ctx, "flight", func() (int, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
+	}()
+	<-started
+	if m.Alias("flight", Addr{3}) {
+		t.Error("Alias of an in-flight entry = true")
+	}
+	close(release)
+	<-done
+	if !m.Alias("flight", Addr{3}) {
+		t.Error("Alias after the flight completed = false")
+	}
+	if n := m.Aliases(); n != 1 {
+		t.Errorf("Aliases = %d, want 1", n)
+	}
+}
+
+// TestMemoForgetDropsAlias: forgetting or evicting an entry drops its
+// address, and recomputing the key does not bring the address back.
+func TestMemoForgetDropsAlias(t *testing.T) {
+	m := NewMemo[int]()
+	ctx := context.Background()
+	for _, k := range []string{"forget", "evict", "keep"} {
+		m.Do(ctx, k, func() (int, error) { return len(k), nil })
+	}
+	m.Alias("forget", Addr{1})
+	m.Alias("evict", Addr{2})
+	m.Alias("keep", Addr{3})
+
+	m.Forget("forget")
+	if n := m.EvictIf(func(k string) bool { return k == "evict" }); n != 1 {
+		t.Fatalf("EvictIf = %d, want 1", n)
+	}
+	m.Do(ctx, "forget", func() (int, error) { return 99, nil })
+	for _, a := range []Addr{{1}, {2}} {
+		if v, ok := m.Resolve(a); ok {
+			t.Errorf("address %d of a dropped entry resolves to %d", a[0], v)
+		}
+	}
+	if v, ok := m.Resolve(Addr{3}); !ok || v != 4 {
+		t.Errorf("surviving address = %d, %v, want 4, true", v, ok)
+	}
+	if n := m.Aliases(); n != 1 {
+		t.Errorf("Aliases = %d, want 1", n)
+	}
+	if !m.Alias("forget", Addr{1}) {
+		t.Error("a recomputed entry cannot take the freed address")
+	}
+}
+
+// TestMemoAliasConcurrent runs Do, Alias, Resolve and Forget on one key
+// from many goroutines; under -race it checks that a resolved value is
+// published with its entry.
+func TestMemoAliasConcurrent(t *testing.T) {
+	m := NewMemo[*int]()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				switch (g + i) % 4 {
+				case 0, 1:
+					v, err := m.Do(ctx, "k", func() (*int, error) { x := 5; return &x, nil })
+					if err != nil || *v != 5 {
+						t.Errorf("Do = %v, %v", v, err)
+						return
+					}
+					m.Alias("k", Addr{9})
+				case 2:
+					if v, ok := m.Resolve(Addr{9}); ok && *v != 5 {
+						t.Errorf("Resolve = %d", *v)
+					}
+				case 3:
+					if i%16 == 3 {
+						m.Forget("k")
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := m.Aliases(); n > 1 {
+		t.Errorf("Aliases = %d, want at most 1", n)
+	}
+}

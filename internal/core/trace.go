@@ -302,9 +302,13 @@ func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 		// Fill with ready natives by priority. Memory operations go first:
 		// the base superscalar has a single memory port, so an ALU
 		// instruction placed into the memory-capable slot can crowd out a
-		// critical load.
+		// critical load. Once every slot is taken, nothing more fits.
+		open := width
 		for _, memFirst := range []bool{true, false} {
 			for _, n := range remaining {
+				if open == 0 {
+					break
+				}
 				if st.isPlaced(n) || isa.ClassOf(n.Inst.Op) == isa.ClassMem != memFirst {
 					continue
 				}
@@ -317,6 +321,7 @@ func (s *scheduler) scheduleBlock(st *traceState, bi int) error {
 				}
 				s.place(st, n, bi, &cy, slot, cycle, abs, 0)
 				free[slot] = false
+				open--
 			}
 		}
 

@@ -73,10 +73,12 @@ func memHierModels() []*machine.Model {
 func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 	models := memHierModels()
 
-	// Warm the store in parallel. The prefetcher axis only varies the
+	// Measure in parallel. The prefetcher axis only varies the
 	// execution-side memory hierarchy, so each (model, nobl, workload) cell
 	// schedules once and runs all prefetchers as lockstep batch lanes; the
-	// pipeline measures the scalar baselines, one per hierarchy.
+	// pipeline measures the scalar baselines, one per hierarchy. Each
+	// result is kept by index for the rows: scalars[k*nw+w] is workload
+	// w's baseline under hierarchy k, lanes[j*nw+w] its job-j runs.
 	type job struct {
 		model *machine.Model
 		opts  core.Options
@@ -92,61 +94,56 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 		mcfgs[i] = &mcfg
 	}
 	nw := len(s.Workloads)
+	scalars := make([]int64, len(mcfgs)*nw)
+	lanes := make([][]verified, len(jobs)*nw)
 	if err := cache.ForEach(ctx, (len(jobs)+1)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
 		w := s.Workloads[i%nw]
 		if i < nw {
-			for _, mcfg := range mcfgs {
-				if _, err := s.Store.scalar(ctx, w, mcfg); err != nil {
+			for k, mcfg := range mcfgs {
+				scalar, err := s.Store.scalar(ctx, w, mcfg)
+				if err != nil {
 					return err
 				}
+				scalars[k*nw+i] = scalar
 			}
 			return nil
 		}
 		j := jobs[i/nw-1]
-		_, err := s.Store.runLanes(ctx, w, j.model, j.opts, true, mcfgs)
+		vs, err := s.Store.runLanes(ctx, w, j.model, j.opts, true, mcfgs)
+		lanes[i-nw] = vs
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
+	// Rows follow the jobs: model-major, boosted loads before forbidden.
 	var rows []MemHierRow
-	for _, m := range models {
-		for _, boostLoads := range []bool{true, false} {
-			opts := core.Options{NoBoostedLoads: !boostLoads}
-			for k, pref := range memHierPrefetchers {
-				row := MemHierRow{Model: m.Name, BoostLoads: boostLoads, Prefetch: pref}
-				var speedups []float64
-				agg := memhier.Stats{}
-				var insts int64
-				for _, w := range s.Workloads {
-					scalar, err := s.Store.scalar(ctx, w, mcfgs[k])
-					if err != nil {
-						return nil, err
-					}
-					v, err := s.Store.run(ctx, w, m, opts, true, mcfgs[k])
-					if err != nil {
-						return nil, err
-					}
-					res := v.res
-					speedups = append(speedups, float64(scalar)/float64(res.Cycles))
-					agg.L1Misses += res.Mem.L1Misses
-					agg.Accesses += res.Mem.Accesses
-					agg.L2Hits += res.Mem.L2Hits
-					agg.L2Misses += res.Mem.L2Misses
-					agg.PrefIssued += res.Mem.PrefIssued
-					agg.PrefUseful += res.Mem.PrefUseful
-					insts += res.Insts
-					row.SquashedStalls += res.SquashedMemStalls
-				}
-				row.Speedup = GeoMean(speedups)
-				row.MPKI = 1000 * float64(agg.L1Misses) / float64(insts)
-				row.L1MissRate = float64(agg.L1Misses) / float64(agg.Accesses)
-				if l2 := agg.L2Hits + agg.L2Misses; l2 > 0 {
-					row.L2MissRate = float64(agg.L2Misses) / float64(l2)
-				}
-				row.PrefAccuracy = agg.PrefetchAccuracy()
-				rows = append(rows, row)
+	for j, jb := range jobs {
+		for k, pref := range memHierPrefetchers {
+			row := MemHierRow{Model: jb.model.Name, BoostLoads: !jb.opts.NoBoostedLoads, Prefetch: pref}
+			var speedups []float64
+			agg := memhier.Stats{}
+			var insts int64
+			for w := 0; w < nw; w++ {
+				res := lanes[j*nw+w][k].res
+				speedups = append(speedups, float64(scalars[k*nw+w])/float64(res.Cycles))
+				agg.L1Misses += res.Mem.L1Misses
+				agg.Accesses += res.Mem.Accesses
+				agg.L2Hits += res.Mem.L2Hits
+				agg.L2Misses += res.Mem.L2Misses
+				agg.PrefIssued += res.Mem.PrefIssued
+				agg.PrefUseful += res.Mem.PrefUseful
+				insts += res.Insts
+				row.SquashedStalls += res.SquashedMemStalls
 			}
+			row.Speedup = GeoMean(speedups)
+			row.MPKI = 1000 * float64(agg.L1Misses) / float64(insts)
+			row.L1MissRate = float64(agg.L1Misses) / float64(agg.Accesses)
+			if l2 := agg.L2Hits + agg.L2Misses; l2 > 0 {
+				row.L2MissRate = float64(agg.L2Misses) / float64(l2)
+			}
+			row.PrefAccuracy = agg.PrefetchAccuracy()
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

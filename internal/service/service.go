@@ -19,15 +19,19 @@
 // an internal/cache.Memo singleflight store, so identical requests —
 // including concurrent identical requests — compute once and replay as
 // byte-identical bodies. Deduplicated waiters do not consume admission
-// slots; only the computing leader does. See docs/SERVICE.md.
+// slots; only the computing leader does. A response the leader computed
+// is also addressed by the sha256 of the leader's body, so a repeat of
+// that body is answered before it is decoded. See docs/SERVICE.md.
 package service
 
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -275,9 +279,10 @@ func setArtifactSource(ctx context.Context, source string) {
 }
 
 // heavyHandler wraps a typed compute endpoint with the full serving
-// discipline: method/body checks, decode+validate, response-cache lookup
-// with singleflight dedup, bounded admission with backpressure,
-// per-request deadline, panic isolation, and metrics.
+// discipline: method/body checks, a lookup by body address,
+// decode+validate, response-cache lookup with singleflight dedup, bounded
+// admission with backpressure, per-request deadline, panic isolation, and
+// metrics.
 func heavyHandler[R keyedRequest](s *Server, endpoint string, compute func(ctx context.Context, req R) (int, any)) http.Handler {
 	em := s.metrics.endpoint(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -300,6 +305,12 @@ func serveHeavy[R keyedRequest](s *Server, endpoint string, em *endpointMetrics,
 	body, status, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		return writeJSON(w, status, errorResponse{err.Error()})
+	}
+	// A body that earlier computed a response answers from it at once,
+	// without being decoded or keyed again.
+	addr := bodyAddr(endpoint, body)
+	if resp, ok := s.responses.Resolve(addr); ok {
+		return writeCached(w, resp, "hit")
 	}
 	var req R
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -372,15 +383,36 @@ func serveHeavy[R keyedRequest](s *Server, endpoint string, em *endpointMetrics,
 		return writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
 	}
 
-	if computed {
-		w.Header().Set("X-Boostd-Cache", "miss")
-	} else {
-		w.Header().Set("X-Boostd-Cache", "hit")
+	if !computed {
+		return writeCached(w, resp, "hit")
 	}
+	// The leader's body becomes the response's one address. Waiters and
+	// bodies that differ only in spelling found the response by its key.
+	s.responses.Alias(key, addr)
+	return writeCached(w, resp, "miss")
+}
+
+// bodyAddr is a request's address in the response cache: the sha256 of
+// its endpoint and its raw body bytes.
+func bodyAddr(endpoint string, body []byte) cache.Addr {
+	h := sha256.New()
+	io.WriteString(h, endpoint)
+	h.Write([]byte{0})
+	h.Write(body)
+	var a cache.Addr
+	h.Sum(a[:0])
+	return a
+}
+
+// writeCached writes a rendered response with its cache source ("hit" or
+// "miss") and the provenance of its compiled program.
+func writeCached(w http.ResponseWriter, resp *cachedResponse, source string) int {
+	h := w.Header()
+	h.Set("X-Boostd-Cache", source)
 	if resp.artifactSource != "" {
-		w.Header().Set("X-Boostd-Artifact", resp.artifactSource)
+		h.Set("X-Boostd-Artifact", resp.artifactSource)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.Set("Content-Type", "application/json")
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
 	return resp.status

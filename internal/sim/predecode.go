@@ -178,10 +178,40 @@ func Predecode(sp *machine.SchedProgram) (*Predecoded, error) {
 		excOverhead: sp.Model.ExceptionOverhead,
 	}
 
+	// Size every array once: count blocks, cycles and the slots that
+	// lowering keeps.
+	procs := sp.Prog.ProcList()
+	var nBlocks, nCycles, nInsts int
+	for _, p := range procs {
+		nBlocks += len(p.Blocks)
+		schedProc := sp.Procs[p.Name]
+		if schedProc == nil {
+			continue
+		}
+		for _, b := range p.Blocks {
+			sb := schedProc.Blocks[b.ID]
+			if sb == nil {
+				continue
+			}
+			nCycles += len(sb.Cycles)
+			for ci := range sb.Cycles {
+				for _, in := range sb.Cycles[ci].Slots {
+					if keepSlot(in) {
+						nInsts++
+					}
+				}
+			}
+		}
+	}
+	pd.blocks = make([]fastBlock, 0, nBlocks)
+	pd.cycles = make([]fastCycle, 0, nCycles)
+	pd.insts = make([]fastInst, 0, nInsts)
+	pd.exts = make([]fastExt, 0, nInsts)
+
 	// Pass 1: assign dense block indices in link-table order, so return
 	// tokens resolve by arithmetic (token - retTokenBase = dense index).
-	idx := map[blockKey]int32{}
-	for _, p := range sp.Prog.ProcList() {
+	idx := make(map[blockKey]int32, nBlocks)
+	for _, p := range procs {
 		for _, b := range p.Blocks {
 			idx[blockKey{p.Name, b.ID}] = int32(len(pd.blocks))
 			pd.blocks = append(pd.blocks, fastBlock{proc: p.Name, id: b.ID})
@@ -190,7 +220,7 @@ func Predecode(sp *machine.SchedProgram) (*Predecoded, error) {
 	pd.entry = idx[blockKey{"main", mainSP.Proc.Entry.ID}]
 
 	// Pass 2: lower every scheduled block.
-	for _, p := range sp.Prog.ProcList() {
+	for _, p := range procs {
 		schedProc := sp.Procs[p.Name]
 		for _, b := range p.Blocks {
 			fb := &pd.blocks[idx[blockKey{p.Name, b.ID}]]
@@ -215,10 +245,7 @@ func Predecode(sp *machine.SchedProgram) (*Predecoded, error) {
 			for ci := range sb.Cycles {
 				lo := int32(len(pd.insts))
 				for _, in := range sb.Cycles[ci].Slots {
-					// Empty slots and sequential NOPs have no architectural
-					// or statistical effect and are dropped; a boosted NOP
-					// still counts toward BoostedExec, so it stays.
-					if in == nil || (in.Op == isa.NOP && in.Boost == 0) {
+					if !keepSlot(in) {
 						continue
 					}
 					fi, ext, err := pd.lowerInst(sp, schedProc, p.Name, b, in, idx)
@@ -258,6 +285,13 @@ func Predecode(sp *machine.SchedProgram) (*Predecoded, error) {
 	}
 	pd.buildChains()
 	return pd, nil
+}
+
+// keepSlot reports whether predecode lowers an issue slot. Empty slots
+// and sequential NOPs have no architectural or statistical effect and are
+// dropped; a boosted NOP still counts toward BoostedExec, so it stays.
+func keepSlot(in *isa.Inst) bool {
+	return in != nil && (in.Op != isa.NOP || in.Boost != 0)
 }
 
 // buildChains fuses blocks into superblocks: for every scheduled block it
