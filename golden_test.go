@@ -27,7 +27,6 @@ import (
 	"boosting/internal/core"
 	"boosting/internal/dynsched"
 	"boosting/internal/machine"
-	"boosting/internal/memhier"
 	"boosting/internal/profile"
 	"boosting/internal/prog"
 	"boosting/internal/regalloc"
@@ -287,65 +286,6 @@ func TestGoldenTraces(t *testing.T) {
 				if g := got.Dynamic[k]; g != w {
 					t.Errorf("%s dynamic/%s: digest drifted from golden (re-run with -update if intended):\ngot:    %+v\ngolden: %+v",
 						name, k, g, w)
-				}
-			}
-		})
-	}
-}
-
-// TestGoldenBatchLanes: every lane of a lockstep ExecBatch produces
-// exactly the digest a solo Exec of the same configuration produces —
-// and the solo digests are themselves pinned by TestGoldenTraces, so
-// the batch path is chained to the same golden files. Lanes mix
-// perfect memory, a small blocking cache, the default two-level
-// hierarchy with a stride prefetcher, and a duplicate lane, so the
-// lockstep loop interleaves lanes in genuinely different states.
-func TestGoldenBatchLanes(t *testing.T) {
-	names := []string{"grep", "eqntott"}
-	if testing.Short() {
-		names = names[:1]
-	}
-	tiny := memhier.SingleLevel(64, 1, 16, 20)
-	stride := memhier.Default()
-	stride.Prefetch = "stride"
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			master := compileGolden(t, name)
-			for _, m := range []*machine.Model{machine.MinBoost3(), machine.Boost7()} {
-				sp, err := core.Schedule(prog.Clone(master), m, core.Options{})
-				if err != nil {
-					t.Fatalf("%s: schedule: %v", m.Name, err)
-				}
-				laneCfgs := []sim.ExecConfig{
-					{},
-					{Mem: &tiny},
-					{Mem: &stride},
-					{},
-				}
-				taps := make([]*digestTap, len(laneCfgs))
-				batch := make([]sim.ExecConfig, len(laneCfgs))
-				for i, c := range laneCfgs {
-					taps[i] = newDigestTap()
-					batch[i] = taps[i].wrap(c)
-				}
-				results, errs := sim.ExecBatch(sp, batch)
-				for i := range laneCfgs {
-					if errs[i] != nil {
-						t.Fatalf("%s lane %d: %v", m.Name, i, errs[i])
-					}
-					soloTap := newDigestTap()
-					solo, err := sim.Exec(sp, soloTap.wrap(laneCfgs[i]))
-					if err != nil {
-						t.Fatalf("%s lane %d solo: %v", m.Name, i, err)
-					}
-					if got, want := taps[i].digest(results[i]), soloTap.digest(solo); got != want {
-						t.Errorf("%s on %s lane %d diverges from solo Exec:\nbatch: %+v\nsolo:  %+v",
-							name, m.Name, i, got, want)
-					}
-					if results[i].MemStalls != solo.MemStalls {
-						t.Errorf("%s on %s lane %d: batch mem stalls %d, solo %d",
-							name, m.Name, i, results[i].MemStalls, solo.MemStalls)
-					}
 				}
 			}
 		})

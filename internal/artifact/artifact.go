@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc64"
-	"sort"
 
 	"boosting/internal/core"
 	"boosting/internal/isa"
@@ -137,22 +136,6 @@ func OptsKey(o core.Options) string {
 // fingerprint crossed with the scheduler options.
 func VariantKey(m *machine.Model, o core.Options) string {
 	return ModelFingerprint(m) + "|" + OptsKey(o)
-}
-
-// AddVariant records a scheduled form of the artifact's program, replacing
-// any variant with the same key. Variants stay sorted by key so encoding
-// is deterministic.
-func (a *Artifact) AddVariant(sp *machine.SchedProgram, opts core.Options, stats *passes.CompileStats) {
-	key := VariantKey(sp.Model, opts)
-	v := &Variant{Key: key, Sched: sp, Stats: stats}
-	for i, old := range a.Variants {
-		if old.Key == key {
-			a.Variants[i] = v
-			return
-		}
-	}
-	a.Variants = append(a.Variants, v)
-	sort.Slice(a.Variants, func(i, j int) bool { return a.Variants[i].Key < a.Variants[j].Key })
 }
 
 // FindVariant returns the scheduled variant for (model, options), or nil.

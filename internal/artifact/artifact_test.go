@@ -101,8 +101,11 @@ func testArtifact(t testing.TB) *Artifact {
 		Accuracy:     0.875,
 		ScalarCycles: 513,
 		Stats:        &passes.CompileStats{},
+		Variants: []*Variant{{
+			Key:   VariantKey(machine.MinBoost3(), core.Options{}),
+			Sched: testSched(t, pr, machine.MinBoost3(), core.Options{}),
+		}},
 	}
-	a.AddVariant(testSched(t, pr, machine.MinBoost3(), core.Options{}), core.Options{}, nil)
 	return a
 }
 
@@ -289,18 +292,15 @@ func TestVariantKeys(t *testing.T) {
 	}
 }
 
-func TestAddVariantReplaces(t *testing.T) {
+func TestFindVariant(t *testing.T) {
 	pr := testProgram(t)
-	a := &Artifact{Workload: "w", Program: pr}
-	sp1 := testSched(t, pr, machine.MinBoost3(), core.Options{})
-	sp2 := testSched(t, pr, machine.MinBoost3(), core.Options{})
-	a.AddVariant(sp1, core.Options{}, nil)
-	a.AddVariant(sp2, core.Options{}, nil)
-	if len(a.Variants) != 1 {
-		t.Fatalf("got %d variants, want 1 (same key must replace)", len(a.Variants))
-	}
-	if v := a.FindVariant(machine.MinBoost3(), core.Options{}); v == nil || v.Sched != sp2 {
-		t.Error("FindVariant did not return the replacement")
+	sp := testSched(t, pr, machine.MinBoost3(), core.Options{})
+	a := &Artifact{Workload: "w", Program: pr, Variants: []*Variant{
+		{Key: VariantKey(machine.MinBoost3(), core.Options{LocalOnly: true}), Sched: sp},
+		{Key: VariantKey(machine.MinBoost3(), core.Options{}), Sched: sp},
+	}}
+	if v := a.FindVariant(machine.MinBoost3(), core.Options{}); v != a.Variants[1] {
+		t.Error("FindVariant did not return the variant with the matching options")
 	}
 	if v := a.FindVariant(machine.Boost7(), core.Options{}); v != nil {
 		t.Error("FindVariant matched a model that was never added")

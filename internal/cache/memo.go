@@ -7,7 +7,6 @@ package cache
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -104,26 +103,22 @@ func (m *Memo[V]) Do(ctx context.Context, key string, fn func() (V, error)) (V, 
 	return e.val, e.err
 }
 
+// forget removes key's entry and its second address.
 func (m *Memo[V]) forget(key string) {
 	m.mu.Lock()
 	if e, ok := m.entries[key]; ok {
-		m.drop(key, e)
+		if m.addrs[e.addr] == e {
+			delete(m.addrs, e.addr)
+		}
+		delete(m.entries, key)
 	}
 	m.mu.Unlock()
-}
-
-// drop removes key's entry e and its second address. m.mu must be held.
-func (m *Memo[V]) drop(key string, e *memoEntry[V]) {
-	if m.addrs[e.addr] == e {
-		delete(m.addrs, e.addr)
-	}
-	delete(m.entries, key)
 }
 
 // Alias gives key's entry the second address addr and reports whether it
 // did. It does nothing unless the entry has completed without error. An
 // entry keeps the first address it is given, an address names one entry,
-// and forgetting or evicting the entry drops its address.
+// and forgetting the entry drops its address.
 func (m *Memo[V]) Alias(key string, addr Addr) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -186,39 +181,4 @@ func (m *Memo[V]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.entries)
-}
-
-// Keys returns every memoized key (including keys whose computation is
-// still in flight) in sorted order.
-func (m *Memo[V]) Keys() []string {
-	m.mu.Lock()
-	keys := make([]string, 0, len(m.entries))
-	for k := range m.entries {
-		keys = append(keys, k)
-	}
-	m.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// EvictIf drops every completed entry whose key satisfies pred and
-// returns the number evicted. In-flight entries are skipped: evicting a
-// computation that waiters are blocked on would detach them from its
-// result, and its key will still be present for a later sweep.
-func (m *Memo[V]) EvictIf(pred func(key string) bool) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for k, e := range m.entries {
-		select {
-		case <-e.done:
-		default:
-			continue // in flight
-		}
-		if pred(k) {
-			m.drop(k, e)
-			n++
-		}
-	}
-	return n
 }

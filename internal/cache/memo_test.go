@@ -179,75 +179,6 @@ func TestMemoPanicSafety(t *testing.T) {
 	}
 }
 
-func TestMemoKeys(t *testing.T) {
-	m := NewMemo[int]()
-	ctx := context.Background()
-	for _, k := range []string{"c", "a", "b"} {
-		if _, err := m.Do(ctx, k, func() (int, error) { return 1, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.Keys()
-	want := []string{"a", "b", "c"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("Keys = %v, want %v", got, want)
-	}
-}
-
-func TestMemoEvictIf(t *testing.T) {
-	m := NewMemo[int]()
-	ctx := context.Background()
-	for _, k := range []string{"keep-1", "drop-1", "drop-2", "keep-2"} {
-		if _, err := m.Do(ctx, k, func() (int, error) { return 1, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var calls atomic.Int64
-	recount := func(k string) (int, error) { calls.Add(1); return 2, nil }
-
-	n := m.EvictIf(func(key string) bool { return key[:4] == "drop" })
-	if n != 2 {
-		t.Fatalf("EvictIf evicted %d entries, want 2", n)
-	}
-	if m.Len() != 2 {
-		t.Fatalf("Len = %d after eviction, want 2", m.Len())
-	}
-	// Evicted keys recompute; surviving keys stay memoized.
-	for _, k := range []string{"drop-1", "drop-2", "keep-1", "keep-2"} {
-		if _, err := m.Do(ctx, k, func() (int, error) { return recount(k) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("recomputed %d entries, want 2", calls.Load())
-	}
-}
-
-func TestMemoEvictIfSkipsInFlight(t *testing.T) {
-	m := NewMemo[int]()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		m.Do(context.Background(), "inflight", func() (int, error) {
-			close(started)
-			<-release
-			return 1, nil
-		})
-	}()
-	<-started
-	// The in-flight entry must survive even when the predicate matches it.
-	if n := m.EvictIf(func(string) bool { return true }); n != 0 {
-		t.Fatalf("EvictIf evicted %d in-flight entries, want 0", n)
-	}
-	close(release)
-	<-done
-	if n := m.EvictIf(func(string) bool { return true }); n != 1 {
-		t.Fatalf("EvictIf after completion evicted %d, want 1", n)
-	}
-}
-
 // TestMemoAlias: a completed entry answers at its one second address,
 // and Resolve counts a hit only when it finds one.
 func TestMemoAlias(t *testing.T) {
@@ -327,27 +258,21 @@ func TestMemoAliasNeedsCompletedSuccess(t *testing.T) {
 	}
 }
 
-// TestMemoForgetDropsAlias: forgetting or evicting an entry drops its
-// address, and recomputing the key does not bring the address back.
+// TestMemoForgetDropsAlias: forgetting an entry drops its address, and
+// recomputing the key does not bring the address back.
 func TestMemoForgetDropsAlias(t *testing.T) {
 	m := NewMemo[int]()
 	ctx := context.Background()
-	for _, k := range []string{"forget", "evict", "keep"} {
+	for _, k := range []string{"forget", "keep"} {
 		m.Do(ctx, k, func() (int, error) { return len(k), nil })
 	}
 	m.Alias("forget", Addr{1})
-	m.Alias("evict", Addr{2})
 	m.Alias("keep", Addr{3})
 
 	m.Forget("forget")
-	if n := m.EvictIf(func(k string) bool { return k == "evict" }); n != 1 {
-		t.Fatalf("EvictIf = %d, want 1", n)
-	}
 	m.Do(ctx, "forget", func() (int, error) { return 99, nil })
-	for _, a := range []Addr{{1}, {2}} {
-		if v, ok := m.Resolve(a); ok {
-			t.Errorf("address %d of a dropped entry resolves to %d", a[0], v)
-		}
+	if v, ok := m.Resolve(Addr{1}); ok {
+		t.Errorf("the address of a forgotten entry resolves to %d", v)
 	}
 	if v, ok := m.Resolve(Addr{3}); !ok || v != 4 {
 		t.Errorf("surviving address = %d, %v, want 4, true", v, ok)

@@ -51,12 +51,6 @@ type Config struct {
 	// hierarchy in Name().
 	Mem     *memhier.Config
 	MemName string
-	// Batch runs the configuration as one lane of a lockstep ExecBatch
-	// (static fast-core configurations only), flanked by companion lanes
-	// on other hierarchies, and additionally asserts the lane is
-	// byte-identical to a sequential Exec of the same configuration
-	// ("batch-lane" divergences).
-	Batch bool
 }
 
 // Name renders a stable, human-readable configuration identifier used in
@@ -90,9 +84,6 @@ func (c Config) Name() string {
 	}
 	if c.MemName != "" {
 		name += "/mem/" + c.MemName
-	}
-	if c.Batch {
-		name += "/batch"
 	}
 	return name
 }
@@ -241,30 +232,6 @@ func Configs(full bool) []Config {
 					Mem: &mem, MemName: mh.name},
 			)
 		}
-	}
-	// The batch axis: an ExecBatch lane must behave exactly like a solo
-	// Exec run. The quick set batches the two headline models (one under
-	// a finite hierarchy); the full matrix crosses every boosting model
-	// and register regime with every hierarchy.
-	batchMem := memHierarchies()[0]
-	if full {
-		for _, m := range models {
-			for _, alloc := range []bool{false, true} {
-				out = append(out, Config{Model: m, Alloc: alloc, Batch: true})
-			}
-			for _, mh := range memHierarchies() {
-				mem := mh.cfg
-				out = append(out, Config{Model: m, Alloc: true, Batch: true,
-					Mem: &mem, MemName: mh.name})
-			}
-		}
-	} else {
-		mem := batchMem.cfg
-		out = append(out,
-			Config{Model: machine.MinBoost3(), Alloc: true, Batch: true},
-			Config{Model: machine.Boost7(), Alloc: true, Batch: true,
-				Mem: &mem, MemName: batchMem.name},
-		)
 	}
 	out = append(out,
 		Config{Dynamic: true},

@@ -15,8 +15,8 @@ func TestOracleMatrixSize(t *testing.T) {
 		full          bool
 		total, legacy int
 	}{
-		{full: false, total: 31, legacy: 9},
-		{full: true, total: 131, legacy: 27},
+		{full: false, total: 29, legacy: 9},
+		{full: true, total: 106, legacy: 27},
 	} {
 		cfgs := Configs(tc.full)
 		legacy := 0
@@ -32,8 +32,8 @@ func TestOracleMatrixSize(t *testing.T) {
 			}
 			if c.Legacy {
 				legacy++
-				if c.Dynamic || c.Batch {
-					t.Errorf("config %q: the oracle runs static solo configurations only", name)
+				if c.Dynamic {
+					t.Errorf("config %q: the oracle runs static configurations only", name)
 				}
 			}
 		}

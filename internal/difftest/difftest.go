@@ -6,8 +6,6 @@ import (
 	"boosting/internal/artifact"
 	"boosting/internal/core"
 	"boosting/internal/dynsched"
-	"boosting/internal/machine"
-	"boosting/internal/memhier"
 	"boosting/internal/profile"
 	"boosting/internal/prog"
 	"boosting/internal/regalloc"
@@ -63,7 +61,7 @@ type Divergence struct {
 	// Config is the Name() of the failing configuration.
 	Config string `json:"config"`
 	// Kind classifies the failure: "output", "memory", "store-stream",
-	// "squash-leak", "halt-leak", "batch-lane" or "error".
+	// "squash-leak", "halt-leak" or "error".
 	Kind string `json:"kind"`
 	// Detail is a human-readable description of the mismatch.
 	Detail string `json:"detail"`
@@ -231,89 +229,17 @@ func checkStatic(build func() *prog.Program, cfg Config, ref *reference, opt Opt
 			}
 		},
 	}
-	var res *sim.ExecResult
-	switch {
-	case cfg.Legacy:
-		res, err = sim.ExecOracle(sp, ecfg)
-	case cfg.Batch:
-		var batchDivs []Divergence
-		res, err, batchDivs = execBatched(sp, ecfg, name)
-		divs = append(divs, batchDivs...)
-	default:
-		res, err = sim.Exec(sp, ecfg)
+	exec := sim.Exec
+	if cfg.Legacy {
+		exec = sim.ExecOracle
 	}
+	res, err := exec(sp, ecfg)
 	if err != nil {
 		divs = append(divs, Divergence{Config: name, Kind: "error", Detail: fmt.Sprintf("exec: %v", err)})
 		return divs
 	}
 	divs = append(divs, compareRun(name, ref, res.Out, res.MemHash, stores)...)
 	return divs
-}
-
-// execBatched runs the configuration as lane 0 of a lockstep ExecBatch,
-// flanked by companion lanes (perfect memory and a tiny blocking
-// hierarchy) so the lockstep loop genuinely interleaves lanes in
-// different states, and asserts lane 0 is byte-identical to a
-// sequential Exec of the same configuration.
-func execBatched(sp *machine.SchedProgram, ecfg sim.ExecConfig, name string) (*sim.ExecResult, error, []Divergence) {
-	tiny := memhier.SingleLevel(4, 1, 8, 20)
-	batch := []sim.ExecConfig{
-		ecfg,
-		{Inject: ecfg.Inject},
-		{Inject: ecfg.Inject, Mem: &tiny},
-	}
-	results, errs := sim.ExecBatch(sp, batch)
-	res, err := results[0], errs[0]
-	solo, soloErr := sim.Exec(sp, sim.ExecConfig{Inject: ecfg.Inject, Mem: ecfg.Mem})
-
-	var divs []Divergence
-	switch {
-	case (err == nil) != (soloErr == nil):
-		divs = append(divs, Divergence{Config: name, Kind: "batch-lane",
-			Detail: fmt.Sprintf("batch lane error %v, solo Exec error %v", err, soloErr)})
-	case err == nil:
-		if d := compareExecResults(res, solo); d != "" {
-			divs = append(divs, Divergence{Config: name, Kind: "batch-lane",
-				Detail: "batch lane diverges from solo Exec: " + d})
-		}
-	}
-	return res, err, divs
-}
-
-// compareExecResults diffs every architectural and timing observable of
-// two runs of the same configuration; "" means byte-identical.
-func compareExecResults(batch, solo *sim.ExecResult) string {
-	if d := compareOut(solo.Out, batch.Out); d != "" {
-		return d
-	}
-	if batch.MemHash != solo.MemHash {
-		return "final memory state differs"
-	}
-	type pair struct {
-		name        string
-		batch, solo int64
-	}
-	for _, p := range []pair{
-		{"cycles", batch.Cycles, solo.Cycles},
-		{"insts", batch.Insts, solo.Insts},
-		{"squashed", batch.Squashed, solo.Squashed},
-		{"boosted", batch.BoostedExec, solo.BoostedExec},
-		{"branches", batch.Branches, solo.Branches},
-		{"correct", batch.Correct, solo.Correct},
-		{"recoveries", batch.Recoveries, solo.Recoveries},
-		{"stalls", batch.Stalls, solo.Stalls},
-		{"mem-stalls", batch.MemStalls, solo.MemStalls},
-		{"boosted-mem-stalls", batch.BoostedMemStalls, solo.BoostedMemStalls},
-		{"squashed-mem-stalls", batch.SquashedMemStalls, solo.SquashedMemStalls},
-	} {
-		if p.batch != p.solo {
-			return fmt.Sprintf("%s = %d, solo %d", p.name, p.batch, p.solo)
-		}
-	}
-	if (batch.Fault == nil) != (solo.Fault == nil) {
-		return fmt.Sprintf("fault %v, solo %v", batch.Fault, solo.Fault)
-	}
-	return ""
 }
 
 func checkDynamic(build func() *prog.Program, cfg Config, ref *reference) []Divergence {

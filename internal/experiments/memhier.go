@@ -75,10 +75,11 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 
 	// Measure in parallel. The prefetcher axis only varies the
 	// execution-side memory hierarchy, so each (model, nobl, workload) cell
-	// schedules once and runs all prefetchers as lockstep batch lanes; the
-	// pipeline measures the scalar baselines, one per hierarchy. Each
-	// result is kept by index for the rows: scalars[k*nw+w] is workload
-	// w's baseline under hierarchy k, lanes[j*nw+w] its job-j runs.
+	// schedules once and runs under every prefetcher's hierarchy
+	// (Store.runLanes); the pipeline measures the scalar baselines, one
+	// per hierarchy. Each result is kept by index for the rows:
+	// scalars[k*nw+w] is workload w's baseline under hierarchy k,
+	// runs[j*nw+w] its job-j runs.
 	type job struct {
 		model *machine.Model
 		opts  core.Options
@@ -95,7 +96,7 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 	}
 	nw := len(s.Workloads)
 	scalars := make([]int64, len(mcfgs)*nw)
-	lanes := make([][]verified, len(jobs)*nw)
+	runs := make([][]verified, len(jobs)*nw)
 	if err := cache.ForEach(ctx, (len(jobs)+1)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
 		w := s.Workloads[i%nw]
 		if i < nw {
@@ -110,7 +111,7 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 		}
 		j := jobs[i/nw-1]
 		vs, err := s.Store.runLanes(ctx, w, j.model, j.opts, true, mcfgs)
-		lanes[i-nw] = vs
+		runs[i-nw] = vs
 		return err
 	}); err != nil {
 		return nil, err
@@ -125,7 +126,7 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 			agg := memhier.Stats{}
 			var insts int64
 			for w := 0; w < nw; w++ {
-				res := lanes[j*nw+w][k].res
+				res := runs[j*nw+w][k].res
 				speedups = append(speedups, float64(scalars[k*nw+w])/float64(res.Cycles))
 				agg.L1Misses += res.Mem.L1Misses
 				agg.Accesses += res.Mem.Accesses

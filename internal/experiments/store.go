@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"boosting"
+	"boosting/internal/artifact"
 	"boosting/internal/cache"
 	"boosting/internal/core"
 	"boosting/internal/dynsched"
@@ -116,13 +117,6 @@ func wkey(w *workloads.Workload) string {
 		w.Name, w.Train.Seed, w.Train.Size, w.Test.Seed, w.Test.Size)
 }
 
-// okey spells out every ablation flag of a scheduler configuration.
-func okey(opts core.Options) string {
-	return fmt.Sprintf("local=%v;noeq=%v;nodis=%v;nobl=%v;trace=%d",
-		opts.LocalOnly, opts.DisableEquivalence, opts.NoDisambiguation,
-		opts.NoBoostedLoads, opts.MaxTraceBlocks)
-}
-
 // compile returns the pipeline's compiled program for the workload.
 func (st *Store) compile(ctx context.Context, w *workloads.Workload, alloc bool) (*boosting.Compiled, error) {
 	if alloc {
@@ -166,13 +160,13 @@ func (st *Store) run(ctx context.Context, w *workloads.Workload, model *machine.
 	return vs[0], nil
 }
 
-// runLanes runs one static cell under several memory hierarchies in a
-// single lockstep pass: a private clone is scheduled and predecoded once
-// and every hierarchy runs as one sim.ExecBatch lane. Each lane's
-// verified result enters the memo under the key a solo run of it uses.
+// runLanes runs one static cell under several memory hierarchies: a
+// private clone is scheduled and predecoded once, and sim.ExecBatch runs
+// it under each hierarchy in turn. Each run's verified result enters the
+// memo under the key a solo run of it uses.
 func (st *Store) runLanes(ctx context.Context, w *workloads.Workload, model *machine.Model,
 	opts core.Options, alloc bool, mems []*memhier.Config) ([]verified, error) {
-	// The batch body runs at most once, on the first memo miss; lanes
+	// The batch body runs at most once, on the first memo miss; runs
 	// whose keys are already cached are answered from the memo without
 	// executing.
 	var (
@@ -210,7 +204,7 @@ func (st *Store) runLanes(ctx context.Context, w *workloads.Workload, model *mac
 	}
 	out := make([]verified, len(mems))
 	for i, mem := range mems {
-		key := fmt.Sprintf("run|%s|model=%s|%s|alloc=%v", wkey(w), model.Name, okey(opts), alloc)
+		key := fmt.Sprintf("run|%s|model=%s|%s|alloc=%v", wkey(w), model.Name, artifact.OptsKey(opts), alloc)
 		if mem != nil {
 			key += "|mem=" + mem.Key()
 		}

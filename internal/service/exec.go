@@ -7,7 +7,6 @@ import (
 	"net/http"
 
 	"boosting"
-	"boosting/internal/cache"
 	"boosting/internal/machine"
 )
 
@@ -107,10 +106,10 @@ func (s *Server) simulate(ctx context.Context, req SimulateRequest) (int, any) {
 	return http.StatusOK, resp
 }
 
-// grid runs a workload × model × ablation sweep as one Pipeline.Grid
-// call, or as gridMemSweep when the request carries mem_sweep. One grid
-// request holds one admission slot; its internal parallelism is capped
-// by the server.
+// grid runs a workload × model × ablation sweep, crossed with the
+// request's mem_sweep hierarchies if it has any, as one Pipeline.Grid
+// call. One grid request holds one admission slot; its internal
+// parallelism is capped by the server.
 func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 	workloadNames := req.Workloads
 	if len(workloadNames) == 0 {
@@ -160,11 +159,24 @@ func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 	if req.Parallelism > 0 && req.Parallelism < workers {
 		workers = req.Parallelism
 	}
-	if len(req.MemSweep) > 0 {
-		return s.gridMemSweep(ctx, req, cells, workers)
-	}
 	opts := []boosting.Option{boosting.WithParallelism(workers)}
-	if req.Mem != nil {
+	// memKeys labels each swept cell's row with its hierarchy.
+	var memKeys []string
+	if len(req.MemSweep) > 0 {
+		// One cell per (cell, hierarchy), cell-major. Grid runs a cell's
+		// hierarchies as one group, on one schedule.
+		swept := make([]boosting.GridCell, 0, total)
+		for _, cell := range cells {
+			for _, m := range req.MemSweep {
+				cfg := m.config()
+				sc := cell
+				sc.Opts = append(cell.Opts[:len(cell.Opts):len(cell.Opts)], boosting.WithMemHier(cfg))
+				swept = append(swept, sc)
+				memKeys = append(memKeys, cfg.Key())
+			}
+		}
+		cells = swept
+	} else if req.Mem != nil {
 		// Every cell — including the scalar baselines the pipeline
 		// measures internally — runs under the requested hierarchy.
 		opts = append(opts, boosting.WithMemHier(req.Mem.config()))
@@ -178,6 +190,9 @@ func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 	rows := make([]GridRow, len(results))
 	for i, r := range results {
 		rows[i] = GridRow{Workload: r.Cell.Workload, Model: r.Cell.Model.Name, Ablation: r.Cell.Label}
+		if memKeys != nil {
+			rows[i].Mem = memKeys[i]
+		}
 		if r.Err != nil {
 			// A failing cell — including one that inherited a cancelled
 			// flight from an unrelated request's pipeline memo — is
@@ -189,69 +204,6 @@ func (s *Server) grid(ctx context.Context, req GridRequest) (int, any) {
 		rows[i].Speedup = r.Result.Speedup
 	}
 	return http.StatusOK, GridResponse{SchemaVersion: SchemaVersion, Cells: len(cells), Rows: rows}
-}
-
-// gridMemSweep is the mem_sweep form of the grid: each cell schedules its
-// program once and runs every requested memory hierarchy as a lane of one
-// lockstep batched execution (Pipeline.SimulateBatch), producing one row
-// per (cell, hierarchy). cache.ForEach fans out over cells; the
-// per-cell hierarchy fan-out is the batch itself.
-func (s *Server) gridMemSweep(ctx context.Context, req GridRequest, cells []boosting.GridCell, workers int) (int, any) {
-	n := len(req.MemSweep)
-	memKeys := make([]string, n)
-	lanes := make([][]boosting.Option, n)
-	for k, m := range req.MemSweep {
-		cfg := m.config()
-		memKeys[k] = cfg.Key()
-		lanes[k] = []boosting.Option{boosting.WithMemHier(cfg)}
-	}
-	rows := make([]GridRow, len(cells)*n)
-	err := cache.ForEach(ctx, len(cells), workers, func(ctx context.Context, i int) error {
-		cell := cells[i]
-		cellRows := rows[i*n : (i+1)*n]
-		for k := range cellRows {
-			cellRows[k] = GridRow{
-				Workload: cell.Workload, Model: cell.Model.Name,
-				Ablation: cell.Label, Mem: memKeys[k],
-			}
-		}
-		// Cell-level failures (compile, schedule, lane validation) land in
-		// every one of the cell's rows; like the plain grid, they must not
-		// abort the rest of the sweep.
-		fail := func(err error) error {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			for k := range cellRows {
-				cellRows[k].Error = err.Error()
-			}
-			return nil
-		}
-		c, err := s.pipe.Compile(ctx, cell.Workload, cell.Opts...)
-		if err != nil {
-			return fail(err)
-		}
-		results, errs, err := s.pipe.SimulateBatch(ctx, c, cell.Model, lanes, cell.Opts...)
-		if err != nil {
-			return fail(err)
-		}
-		for k := range cellRows {
-			switch {
-			case errs[k] == nil:
-				cellRows[k].Cycles = results[k].Cycles
-				cellRows[k].Speedup = results[k].Speedup
-			case ctx.Err() != nil:
-				return ctx.Err()
-			default:
-				cellRows[k].Error = errs[k].Error()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, nil
-	}
-	return http.StatusOK, GridResponse{SchemaVersion: SchemaVersion, Cells: len(rows), Rows: rows}
 }
 
 // domainStatus classifies a pipeline error: context errors are handed

@@ -252,6 +252,43 @@ func TestGridMemSweep(t *testing.T) {
 	}
 }
 
+// TestGridMemSweepSchedulesOnce: a mem_sweep grid on a fresh server
+// schedules each (workload, model, ablation) cell once, however many
+// hierarchies it sweeps and however many workers run it. Its only other
+// schedules are the scalar baselines, one per workload and hierarchy.
+func TestGridMemSweepSchedulesOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid sweep in -short mode")
+	}
+	s, ts := newTestServer(t, Config{GridParallelism: 4})
+	small := `{"l1_sets": 64, "l1_ways": 1, "l1_line_bytes": 16}`
+	stride := `{"l1_sets": 64, "l1_ways": 1, "l1_line_bytes": 16, "prefetch": "stride"}`
+	stream := `{"l1_sets": 32, "l1_ways": 2, "l1_line_bytes": 16, "prefetch": "stream"}`
+	resp, b := post(t, ts, "/v1/grid", `{"workloads": ["grep", "compress"],
+		"models": ["MinBoost3", "Boost7"], "ablations": ["baseline", "no-equiv"],
+		"mem_sweep": [`+small+`, `+stride+`, `+stream+`]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mem_sweep grid = %d: %s", resp.StatusCode, b)
+	}
+	var gr GridResponse
+	if err := json.Unmarshal(b, &gr); err != nil {
+		t.Fatalf("decoding: %v", err)
+	}
+	const cells, workloads, hiers = 8, 2, 3
+	if gr.Cells != cells*hiers || len(gr.Rows) != cells*hiers {
+		t.Fatalf("want %d rows, got: %s", cells*hiers, b)
+	}
+	for i, row := range gr.Rows {
+		if row.Error != "" {
+			t.Fatalf("row %d failed: %s", i, row.Error)
+		}
+	}
+	if got, want := s.Pipeline().SchedulePasses(), int64(cells+workloads*hiers); got != want {
+		t.Errorf("scheduler ran %d times, want %d (%d cells, %d scalar baselines)",
+			got, want, cells, workloads*hiers)
+	}
+}
+
 // TestSimulateUntouchedReserve: a body that reserves 128 MiB of BSS it
 // never touches simulates like any small program.
 func TestSimulateUntouchedReserve(t *testing.T) {

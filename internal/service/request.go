@@ -243,7 +243,7 @@ func (r CompileRequest) cacheKey() string {
 
 // CompileResponse reports the scheduled program.
 type CompileResponse struct {
-	// SchemaVersion is the wire-schema version (currently 2).
+	// SchemaVersion is the wire-schema version: the SchemaVersion constant.
 	SchemaVersion int    `json:"schema_version"`
 	Model         string `json:"model"`
 	// Listing is the formatted machine schedule (cycles × issue slots,
@@ -332,7 +332,7 @@ func (r SimulateRequest) cacheKey() string {
 // functions of the request, so identical requests always serialize to
 // byte-identical bodies.
 type SimulateResponse struct {
-	// SchemaVersion is the wire-schema version (currently 3).
+	// SchemaVersion is the wire-schema version: the SchemaVersion constant.
 	SchemaVersion int    `json:"schema_version"`
 	Workload      string `json:"workload,omitempty"`
 	Machine       string `json:"machine"`
@@ -376,10 +376,10 @@ type GridRequest struct {
 	// (absent = perfect memory). The scalar baselines behind each cell's
 	// speedup are re-measured under the same hierarchy.
 	Mem *MemRequest `json:"mem,omitempty"`
-	// MemSweep fans every cell out over several memory hierarchies at
-	// once: the cell's program is scheduled once and all hierarchies run
-	// as lockstep lanes of one batched execution, one response row per
-	// (cell, hierarchy). Mutually exclusive with Mem.
+	// MemSweep fans every cell out over several memory hierarchies: the
+	// cell's program is scheduled once and run under each hierarchy in
+	// turn, one response row per (cell, hierarchy). Mutually exclusive
+	// with Mem.
 	MemSweep []*MemRequest `json:"mem_sweep,omitempty"`
 }
 
@@ -439,7 +439,7 @@ type GridRow struct {
 	Workload string `json:"workload"`
 	Model    string `json:"model"`
 	Ablation string `json:"ablation"`
-	// Mem names the memory hierarchy of this row's lane (canonical config
+	// Mem names the memory hierarchy of this row (canonical config
 	// key); present exactly when the request carried a mem_sweep.
 	Mem     string  `json:"mem,omitempty"`
 	Cycles  int64   `json:"cycles,omitempty"`
@@ -450,7 +450,7 @@ type GridRow struct {
 // GridResponse lists every cell in deterministic (workload, model,
 // ablation) order.
 type GridResponse struct {
-	// SchemaVersion is the wire-schema version (currently 2).
+	// SchemaVersion is the wire-schema version: the SchemaVersion constant.
 	SchemaVersion int       `json:"schema_version"`
 	Cells         int       `json:"cells"`
 	Rows          []GridRow `json:"rows"`

@@ -250,8 +250,7 @@ func getFastState(pd *Predecoded, cfg *ExecConfig) *fastState {
 	fs.mh = nil
 	// Always reset the speculative-stall tracker, not only when this run
 	// models a memory hierarchy: a pooled state may come from a memhier run
-	// and its pending counters must never leak into the next run (or the
-	// next batch lane).
+	// and its pending counters must never leak into the next run.
 	fs.spec.reset(pd.maxLevel)
 	fs.maxReady = 0
 	fs.maxCycles = cfg.MaxCycles
@@ -294,52 +293,41 @@ func (pd *Predecoded) Exec(cfg ExecConfig) (*ExecResult, error) {
 	if fb := &pd.blocks[cur]; !fb.scheduled {
 		return res, fmt.Errorf("sim: no schedule for %s block B%d", fb.proc, fb.id)
 	}
+	// Each round runs one superblock, then checks the cycle budget and
+	// the successor's schedule, or finalizes the result at halt.
 	for {
-		next, done, err := fs.step(cur)
-		if done || err != nil {
+		next, validated, done, err := fs.runBlock(&pd.blocks[cur])
+		if err != nil {
 			return res, err
+		}
+		if done {
+			if fs.shadow.outstanding() || fs.stores.outstanding() {
+				return res, fmt.Errorf("sim: speculative state outstanding at halt")
+			}
+			res.MemHash = fs.mem.Snapshot()
+			if fs.mh != nil {
+				stats := fs.mh.Stats()
+				res.Mem = &stats
+			}
+			return res, nil
+		}
+		if res.Cycles > fs.maxCycles {
+			return res, fmt.Errorf("sim: exceeded %d cycles", fs.maxCycles)
+		}
+		// runBlock reports missing successors itself; next is a real
+		// block here. Chained (pre-validated) edges skip the schedule
+		// checks.
+		if !validated {
+			nb := &pd.blocks[next]
+			if !nb.procSched {
+				return res, fmt.Errorf("sim: no schedule for proc %s", nb.proc)
+			}
+			if !nb.scheduled {
+				return res, fmt.Errorf("sim: no schedule for %s block B%d", nb.proc, nb.id)
+			}
 		}
 		cur = next
 	}
-}
-
-// step advances one top-level dispatch round: one superblock (runBlock)
-// plus the cycle-budget and schedule checks on its successor. It finalizes
-// the result (memory hash, hierarchy stats) when the program halts. Exec
-// and ExecBatch both drive execution exclusively through step, so a batch
-// lane's round sequence is the solo sequence by construction.
-func (fs *fastState) step(cur int32) (next int32, done bool, err error) {
-	pd, res := fs.pd, fs.res
-	next, validated, done, err := fs.runBlock(&pd.blocks[cur])
-	if err != nil {
-		return 0, false, err
-	}
-	if done {
-		if fs.shadow.outstanding() || fs.stores.outstanding() {
-			return 0, false, fmt.Errorf("sim: speculative state outstanding at halt")
-		}
-		res.MemHash = fs.mem.Snapshot()
-		if fs.mh != nil {
-			stats := fs.mh.Stats()
-			res.Mem = &stats
-		}
-		return 0, true, nil
-	}
-	if res.Cycles > fs.maxCycles {
-		return 0, false, fmt.Errorf("sim: exceeded %d cycles", fs.maxCycles)
-	}
-	// runBlock reports missing successors itself; next is a real block
-	// here. Chained (pre-validated) edges skip the schedule checks.
-	if !validated {
-		nb := &pd.blocks[next]
-		if !nb.procSched {
-			return 0, false, fmt.Errorf("sim: no schedule for proc %s", nb.proc)
-		}
-		if !nb.scheduled {
-			return 0, false, fmt.Errorf("sim: no schedule for %s block B%d", nb.proc, nb.id)
-		}
-	}
-	return next, false, nil
 }
 
 // fastCtl is the pending control decision of a block's terminator.

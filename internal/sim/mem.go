@@ -9,8 +9,7 @@
 //     level counters (paper Figure 7), shadow store buffer, one-bit
 //     exception shift buffer, commit/squash at branches, and dispatch to
 //     compiler-generated recovery code on boosted exceptions. It runs
-//     on the predecoded fast core (Predecode, ExecBatch for lockstep
-//     lanes);
+//     on the predecoded fast core (Predecode);
 //   - ExecOracle: the original interpreter of the same hardware, kept
 //     only as the fast core's test oracle.
 //
@@ -94,8 +93,8 @@ type pageRange struct{ lo, hi uint32 }
 
 // Image is a program's initial memory: the data segment in pages, and the
 // BSS and the stack as ranges of pages that read as zero. It is immutable
-// once built, so every run of the program — batch lanes and concurrent
-// Exec calls included — reads the same pages, and a run copies a page
+// once built, so every run of the program — concurrent Exec calls
+// included — reads the same pages, and a run copies a page
 // only on its first write to it. digest is the image's Snapshot.
 type Image struct {
 	pages  map[uint32]*page

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,9 +9,8 @@ import (
 	"boosting/internal/prog"
 )
 
-// runAllEngines runs sp on the fast core, the oracle and as each lane of a
-// 3-lane batch, and checks that every run ends cleanly with output want
-// and one memory digest.
+// runAllEngines runs sp on the fast core and the oracle, and checks that
+// both runs end cleanly with output want and one memory digest.
 func runAllEngines(t *testing.T, sp *machine.SchedProgram, cfg ExecConfig, want []uint32) {
 	t.Helper()
 	fast, err := Exec(sp, cfg)
@@ -23,15 +21,7 @@ func runAllEngines(t *testing.T, sp *machine.SchedProgram, cfg ExecConfig, want 
 	if err != nil {
 		t.Fatalf("ExecOracle: %v", err)
 	}
-	results, errs := ExecBatch(sp, []ExecConfig{cfg, cfg, cfg})
-	runs := map[string]*ExecResult{"Exec": fast, "ExecOracle": oracle}
-	for i, r := range results {
-		if errs[i] != nil {
-			t.Fatalf("ExecBatch lane %d: %v", i, errs[i])
-		}
-		runs[fmt.Sprintf("ExecBatch lane %d", i)] = r
-	}
-	for name, r := range runs {
+	for name, r := range map[string]*ExecResult{"Exec": fast, "ExecOracle": oracle} {
 		if !reflect.DeepEqual(r.Out, want) {
 			t.Errorf("%s: out = %#x, want %#x", name, r.Out, want)
 		}
@@ -108,9 +98,9 @@ func TestNoStalePageAfterCopy(t *testing.T) {
 			return true
 		}}
 		runAllEngines(t, m.sp, cfg, []uint32{11, 387, 0x1234})
-		// Exec, ExecOracle and three lanes each take the fault once.
-		if handled != 5 {
-			t.Errorf("handler ran %d times, want 5", handled)
+		// Exec and ExecOracle each take the fault once.
+		if handled != 2 {
+			t.Errorf("handler ran %d times, want 2", handled)
 		}
 	})
 }

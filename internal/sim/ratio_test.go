@@ -56,10 +56,11 @@ func TestFastCoreOracleRatio(t *testing.T) {
 // TestBatchThroughputRatio times 8 grid cells of one program under 8
 // memory hierarchies, run as 8 cold solo cells (schedule and execute per
 // input, what independent grid cells pay) and as one batched pass
-// (schedule once, one lockstep ExecBatch). On the schedule-dominated
-// short kernel (a fixed-seed generated program, register-allocated and
-// profiled) the batch must at least double per-input throughput; on
-// eqntott it gains only the amortized schedule and must stay >= 0.9x.
+// (schedule and predecode once, then one ExecBatch, which runs the 8
+// hierarchies one after another). On the schedule-dominated short kernel
+// (a fixed-seed generated program, register-allocated and profiled) the
+// batch must at least double per-input throughput; on eqntott it gains
+// only the amortized schedule and must stay >= 0.9x.
 //
 // The eqntott row sits near 1x, and a busy host can keep one side off its
 // floor for many rounds: on a shared 2-vCPU host about one run in 35 read
@@ -118,7 +119,7 @@ func TestBatchThroughputRatio(t *testing.T) {
 			done += rounds
 		}
 		gain := float64(best[0]) / float64(best[1])
-		t.Logf("%s, fastest of %d rounds: %d solo cells %v, one %d-lane batch %v: batch throughput %.2fx solo (want >= %gx)",
+		t.Logf("%s, fastest of %d rounds: %d solo cells %v, one %d-config batch %v: batch throughput %.2fx solo (want >= %gx)",
 			row.name, done, n, best[0], n, best[1], gain, row.minGain)
 		if gain < row.minGain {
 			t.Errorf("%s: batch throughput %.2fx solo cells, want >= %gx", row.name, gain, row.minGain)

@@ -368,72 +368,57 @@ func (p *Pipeline) schedule(c *Compiled, model *machine.Model, cfg config) (*mac
 // Simulate schedules the compiled program for the model (see Schedule),
 // executes it on the machine simulator, verifies output and final memory
 // against the reference interpreter, and reports cycles and speedup over
-// the scalar R2000 baseline. It is SimulateBatch with one lane.
+// the scalar R2000 baseline.
 func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Model, opts ...Option) (*Result, error) {
-	results, errs, err := p.SimulateBatch(ctx, c, model, [][]Option{nil}, opts...)
-	if err != nil {
-		return nil, err
-	}
+	results, errs := p.simulate(ctx, c, model, []config{p.base.apply(opts)})
 	return results[0], errs[0]
 }
 
-// SimulateBatch runs N execution lanes of one schedule: the compiled
-// program is scheduled (or fetched from its variant cache) and
-// predecoded once, then every lane runs in a single lockstep
-// sim.ExecBatch pass and is verified against the reference interpreter.
-// Lane option sets may vary only the memory hierarchy — WithMemHier /
-// WithPerfectMemory — because all lanes share the schedule; a lane whose
-// options would change the schedule variant (scheduler ablations,
-// WithLocalOnly, ...) fails the whole batch, since its result could not
-// equal a solo Simulate of those options. results[i]/errs[i] are the
-// outcome of Simulate(ctx, c, model, append(opts, lanes[i]...)...); err
-// reports batch-level failures (scheduling, lane validation).
-func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machine.Model, lanes [][]Option, opts ...Option) (results []*Result, errs []error, err error) {
-	base := p.base.apply(opts)
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
-	}
-	vkey := artifact.VariantKey(model, base.core)
-	laneCfgs := make([]config, len(lanes))
-	for i, lo := range lanes {
-		lc := base.apply(lo)
-		if lk := artifact.VariantKey(model, lc.core); lk != vkey {
-			return nil, nil, fmt.Errorf(
-				"boosting: simulate batch %s on %s: lane %d changes the schedule variant; lanes may only vary the memory hierarchy",
-				c.Workload, model, i)
+// simulate runs c on the model once per config. The configs must share
+// one schedule variant (they may differ in memory hierarchy), so the
+// schedule is made or fetched, and predecoded, once. results[i]/errs[i]
+// are what Simulate under cfgs[i] reports.
+func (p *Pipeline) simulate(ctx context.Context, c *Compiled, model *machine.Model, cfgs []config) (results []*Result, errs []error) {
+	results, errs = make([]*Result, len(cfgs)), make([]error, len(cfgs))
+	failAll := func(err error) ([]*Result, []error) {
+		for i := range errs {
+			errs[i] = err
 		}
-		laneCfgs[i] = lc
+		return results, errs
+	}
+	canceled := func(err error) error {
+		return fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
+	}
+	if err := ctx.Err(); err != nil {
+		return failAll(canceled(err))
 	}
 	on := "on " + model.Name
-	sp, schedStats, fresh, err := p.schedule(c, model, base)
+	sp, schedStats, save, err := p.schedule(c, model, cfgs[0])
 	if err != nil {
-		return nil, nil, c.fail(on, err)
+		return failAll(c.fail(on, err))
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
+	pd, err := sim.Predecode(sp)
+	if err != nil {
+		return failAll(c.fail(on, fmt.Errorf("simulation: %w", err)))
 	}
-	cfgs := make([]sim.ExecConfig, len(lanes))
-	for i := range laneCfgs {
-		cfgs[i] = sim.ExecConfig{MaxCycles: c.maxCycles, Mem: laneCfgs[i].mem}
-	}
-	execRes, execErrs := sim.ExecBatch(sp, cfgs)
-
-	results = make([]*Result, len(lanes))
-	errs = make([]error, len(lanes))
-	saveNeeded := fresh
-	for i, res := range execRes {
-		if execErrs[i] != nil {
-			errs[i] = c.fail(on, fmt.Errorf("simulation: %w", execErrs[i]))
+	for i, cfg := range cfgs {
+		if err := ctx.Err(); err != nil {
+			errs[i] = canceled(err)
+			continue
+		}
+		res, err := pd.Exec(sim.ExecConfig{MaxCycles: c.maxCycles, Mem: cfg.mem})
+		if err != nil {
+			errs[i] = c.fail(on, fmt.Errorf("simulation: %w", err))
 			continue
 		}
 		p.countRun(res.Cycles, res.BoostedExec, res.Squashed)
-		if verr := c.Verify(res.Out, res.MemHash); verr != nil {
-			errs[i] = c.fail(on, verr)
+		if err := c.Verify(res.Out, res.MemHash); err != nil {
+			errs[i] = c.fail(on, err)
 			continue
 		}
-		scalar, serr := p.scalarCycles(ctx, c, laneCfgs[i].mem)
-		if serr != nil {
-			errs[i] = serr
+		scalar, err := p.scalarCycles(ctx, c, cfg.mem)
+		if err != nil {
+			errs[i] = err
 			continue
 		}
 		// The scalar baseline is workload-global and computed under the
@@ -441,8 +426,8 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 		// base compile matches it (the standard, allocated, perfect-memory
 		// configuration — a hierarchy-specific baseline must not poison the
 		// artifact's hint).
-		if laneCfgs[i].mem == nil && !p.base.infiniteReg && c.setScalarCycles(scalar) {
-			saveNeeded = true
+		if cfg.mem == nil && !p.base.infiniteReg && c.setScalarCycles(scalar) {
+			save = true
 		}
 		results[i] = &Result{
 			Compile:            schedStats,
@@ -461,10 +446,10 @@ func (p *Pipeline) SimulateBatch(ctx context.Context, c *Compiled, model *machin
 			Out:                res.Out,
 		}
 	}
-	if saveNeeded {
-		p.saveArtifact(ctx, base, c)
+	if save {
+		p.saveArtifact(ctx, cfgs[0], c)
 	}
-	return results, errs, nil
+	return results, errs
 }
 
 // SimulateDynamic runs the compiled program on the paper's
@@ -582,9 +567,10 @@ type Counts struct {
 	// Schedules counts scheduler passes: variant misses plus
 	// scalar-baseline schedules.
 	Schedules int64
-	// Simulations counts completed machine runs — Simulate lanes, scalar
-	// baselines and dynamic runs — and SimCycles, BoostedExec and
-	// Squashed total their cycles and speculative activity.
+	// Simulations counts completed machine runs — Simulate and Grid
+	// runs, scalar baselines and dynamic runs — and SimCycles,
+	// BoostedExec and Squashed total their cycles and speculative
+	// activity.
 	Simulations int64
 	SimCycles   int64
 	BoostedExec int64
@@ -665,22 +651,55 @@ type GridResult struct {
 // order regardless of completion order. opts apply to every cell, under
 // the cell's own Opts, as Run layers them. Shared artifacts — compiled
 // pairs, scalar baselines — are built exactly once across the whole
-// grid. A failing cell records its error in its GridResult and does not
-// stop the other cells; cancelling ctx stops the batch, every unfinished
-// cell records the context error, and Grid returns that error wrapped
-// alongside the partial results.
+// grid. Cells that share a workload, register mode, model and scheduler
+// options (a memory sweep, or a repeated cell) form one group, which one
+// worker runs on one schedule and one predecode. A failing cell records
+// its error in its GridResult and does not stop the other cells;
+// cancelling ctx stops the batch, every unfinished cell records the
+// context error, and Grid returns that error wrapped alongside the
+// partial results.
 func (p *Pipeline) Grid(ctx context.Context, cells []GridCell, opts ...Option) ([]GridResult, error) {
 	results := make([]GridResult, len(cells))
+	gridCfg := p.base.apply(opts)
+	cfgs := make([]config, len(cells))
+	// Recorded schedules have no singleflight, so two workers given cells
+	// of one variant would both schedule it; a group runs on one worker.
+	var groups [][]int
+	byKey := map[string]int{}
 	for i, c := range cells {
 		results[i].Cell = c
+		cfgs[i] = gridCfg.apply(c.Opts)
+		key := fmt.Sprintf("%s|%v|%s|%s", c.Workload, cfgs[i].infiniteReg, c.Model.Name,
+			artifact.VariantKey(c.Model, cfgs[i].core))
+		g, ok := byKey[key]
+		if !ok {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
 	// A cell's failure is its result, so only the end of ctx stops the
 	// fan-out; ctx.Err() also catches an end that came after the last
-	// cell started.
-	_ = cache.ForEach(ctx, len(cells), p.base.apply(opts).workers(), func(ctx context.Context, i int) error {
-		c := cells[i]
-		cellOpts := append(append(make([]Option, 0, len(opts)+len(c.Opts)), opts...), c.Opts...)
-		results[i].Result, results[i].Err = p.Run(ctx, c.Workload, c.Model, cellOpts...)
+	// group started.
+	_ = cache.ForEach(ctx, len(groups), gridCfg.workers(), func(ctx context.Context, g int) error {
+		group := groups[g]
+		first := cells[group[0]]
+		c, err := p.Compile(ctx, first.Workload, append(opts[:len(opts):len(opts)], first.Opts...)...)
+		if err != nil {
+			for _, i := range group {
+				results[i].Err = err
+			}
+			return nil
+		}
+		groupCfgs := make([]config, len(group))
+		for k, i := range group {
+			groupCfgs[k] = cfgs[i]
+		}
+		res, errs := p.simulate(ctx, c, first.Model, groupCfgs)
+		for k, i := range group {
+			results[i].Result, results[i].Err = res[k], errs[k]
+		}
 		return nil
 	})
 	if err := ctx.Err(); err != nil {

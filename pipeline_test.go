@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
+	"boosting/internal/machine"
 	"boosting/internal/sim"
 	"boosting/internal/workloads"
 )
@@ -79,61 +81,66 @@ func TestPipelineOptions(t *testing.T) {
 	}
 }
 
-// TestPipelineSimulateBatch: every batch lane reports exactly what a
-// solo Simulate of the same options reports, the schedule runs once for
-// the whole batch, and a lane that would change the schedule variant is
-// rejected up front.
-func TestPipelineSimulateBatch(t *testing.T) {
+// TestPipelineGridMemHier: grid cells that differ only in their memory
+// hierarchy each report exactly what a solo Simulate of their options
+// reports, and the grid schedules each (workload, model, options) once,
+// however many workers run it.
+func TestPipelineGridMemHier(t *testing.T) {
 	ctx := context.Background()
-	m := Models().Boost7
-	p := NewPipeline()
-	c, err := p.Compile(ctx, WorkloadGrep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := DefaultMemConfig()
-	mem.L1 = MemCacheConfig{Sets: 64, Ways: 1, LineBytes: 16}
-	lanes := [][]Option{
-		nil,
-		{WithMemHier(mem)},
-		nil,
-	}
-	results, errs, err := p.SimulateBatch(ctx, c, m, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	passes := p.SchedulePasses()
-	for i, lane := range lanes {
-		if errs[i] != nil {
-			t.Fatalf("lane %d: %v", i, errs[i])
+	ms := Models()
+	small := DefaultMemConfig()
+	small.L1 = MemCacheConfig{Sets: 64, Ways: 1, LineBytes: 16}
+	stride := small
+	stride.Prefetch = "stride"
+	hiers := [][]Option{nil, {WithMemHier(small)}, {WithMemHier(stride)}}
+	workloads := []string{WorkloadGrep, WorkloadCompress}
+	models := []*machine.Model{ms.MinBoost3, ms.Boost7}
+	var cells []GridCell
+	for _, w := range workloads {
+		for _, m := range models {
+			for _, h := range hiers {
+				cells = append(cells, GridCell{Workload: w, Model: m, Opts: h})
+			}
 		}
-		solo, err := p.Simulate(ctx, c, m, lane...)
-		if err != nil {
-			t.Fatalf("lane %d solo: %v", i, err)
-		}
-		b := results[i]
-		if b.Cycles != solo.Cycles || b.Speedup != solo.Speedup ||
-			b.ScalarCycles != solo.ScalarCycles || b.Insts != solo.Insts ||
-			b.BoostedExec != solo.BoostedExec || b.Squashed != solo.Squashed ||
-			b.MemStalls != solo.MemStalls {
-			t.Errorf("lane %d diverges from solo Simulate:\nbatch %+v\nsolo  %+v", i, b, solo)
-		}
-	}
-	// The solo reruns above hit the variant cache: the batch left exactly
-	// one schedule (plus the scalar baselines) behind.
-	if got := p.SchedulePasses(); got != passes {
-		t.Errorf("solo reruns re-scheduled: %d passes, want %d", got, passes)
 	}
 
-	// A lane that changes the schedule variant fails the whole batch.
-	if _, _, err := p.SimulateBatch(ctx, c, m, [][]Option{nil, {WithLocalOnly()}}); err == nil ||
-		!strings.Contains(err.Error(), "lane 1 changes the schedule variant") {
-		t.Errorf("variant-changing lane: err = %v", err)
+	p := NewPipeline(WithParallelism(4))
+	results, err := p.Grid(ctx, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One schedule per (workload, model); the rest are the scalar
+	// baselines, one per workload and hierarchy.
+	groups, scalars := len(workloads)*len(models), len(workloads)*len(hiers)
+	if got, want := p.SchedulePasses(), int64(groups+scalars); got != want {
+		t.Errorf("grid of %d cells ran the scheduler %d times, want %d (%d schedules, %d scalar baselines)",
+			len(cells), got, want, groups, scalars)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("cell %d: %v", i, r.Err)
+		}
+		c := cells[i]
+		solo, err := p.Run(ctx, c.Workload, c.Model, c.Opts...)
+		if err != nil {
+			t.Fatalf("cell %d solo: %v", i, err)
+		}
+		g := r.Result
+		if g.Cycles != solo.Cycles || g.Speedup != solo.Speedup ||
+			g.ScalarCycles != solo.ScalarCycles || g.Insts != solo.Insts ||
+			g.BoostedExec != solo.BoostedExec || g.Squashed != solo.Squashed ||
+			g.MemStalls != solo.MemStalls || !reflect.DeepEqual(g.Mem, solo.Mem) {
+			t.Errorf("cell %d (%s on %s) diverges from solo Simulate:\ngrid %+v\nsolo %+v",
+				i, c.Workload, c.Model.Name, g, solo)
+		}
+		if i%len(hiers) != 0 && g.Cycles == results[i-i%len(hiers)].Result.Cycles {
+			t.Errorf("cell %d: a finite hierarchy ran in perfect memory's %d cycles", i, g.Cycles)
+		}
 	}
 }
 
-// TestPipelineGrid: batch results come back in cell order, identical at
-// any parallelism, with per-cell errors isolated to their cell.
+// TestPipelineGrid: results come back in cell order, identical at any
+// parallelism, with per-cell errors isolated to their cell.
 func TestPipelineGrid(t *testing.T) {
 	ctx := context.Background()
 	ms := Models()
