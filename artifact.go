@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"boosting/internal/artifact"
-	"boosting/internal/cache"
 	"boosting/internal/machine"
 	"boosting/internal/sim"
 	"boosting/internal/workloads"
@@ -116,7 +115,7 @@ func compiledFromArtifact(a *artifact.Artifact, source string) *Compiled {
 		acc:       a.Accuracy,
 		stats:     a.Stats,
 		source:    source,
-		scalars:   cache.NewMemo[int64](),
+		scalars:   newBaselines(),
 		scalarCyc: a.ScalarCycles,
 	}
 	for _, v := range a.Variants {

@@ -43,7 +43,10 @@ func FuzzOracle(f *testing.F) {
 // model. Unlike FuzzOracle, which compares each configuration against the
 // sequential reference, this target compares the two executors against
 // each other, so purely microarchitectural counters (cycles, stalls,
-// squashes) are covered too.
+// squashes) are covered too. Each model also runs one sim.ExecBatch over
+// perfect memory and the mem axis's hierarchies, and every slot must
+// equal the oracle under its hierarchy: the lanes that share one
+// execution are held to the independent interpreter, timing included.
 func FuzzFastCore(f *testing.F) {
 	f.Add(int64(0))
 	f.Add(int64(42))
@@ -96,8 +99,37 @@ func FuzzFastCore(f *testing.F) {
 				t.Fatalf("seed %d on %s: store stream mismatch (%d vs %d events)",
 					seed, m.Name, len(fast.stores), len(legacy.stores))
 			}
+			hs := memHierarchies()
+			cfgs := []sim.ExecConfig{{}}
+			for i := range hs {
+				cfgs = append(cfgs, sim.ExecConfig{Mem: &hs[i].cfg})
+			}
+			batch, berrs := sim.ExecBatch(sp, cfgs)
+			for i, cfg := range cfgs {
+				name := "perfect"
+				if i > 0 {
+					name = hs[i-1].name
+				}
+				want, werr := sim.ExecOracle(sp, cfg)
+				if errText(berrs[i]) != errText(werr) {
+					t.Fatalf("seed %d on %s, %s lane: error mismatch: batch=%q legacy=%q",
+						seed, m.Name, name, errText(berrs[i]), errText(werr))
+				}
+				if !reflect.DeepEqual(batch[i], want) {
+					t.Fatalf("seed %d on %s, %s lane: ExecResult mismatch:\nbatch:  %+v\nlegacy: %+v",
+						seed, m.Name, name, batch[i], want)
+				}
+			}
 		}
 	})
+}
+
+// errText is an error's text, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }
 
 // FuzzRecipeDecode hammers the recipe decoder with arbitrary JSON: any

@@ -44,7 +44,7 @@ func (s *Suite) DynCycles(ctx context.Context, w *workloads.Workload, renaming b
 // ScalarCycles measures the R2000 baseline (locally scheduled, register
 // allocated — the "commercial MIPS assembler" role).
 func (s *Suite) ScalarCycles(ctx context.Context, w *workloads.Workload) (int64, error) {
-	return s.Store.scalar(ctx, w, nil)
+	return s.Store.scalar(ctx, w)
 }
 
 // CacheSpeedups measures the memory-system caveat the paper states in
@@ -64,7 +64,7 @@ func (s *Suite) CacheSpeedups(ctx context.Context, w *workloads.Workload) (perfe
 	// 16-byte lines, 12-cycle blocking miss (memhier.SingleLevel
 	// reproduces its timing exactly).
 	mcfg := memhier.SingleLevel(512, 1, 16, 12)
-	scalarCached, err := s.Store.scalar(ctx, w, &mcfg)
+	scalarCached, err := s.Store.scalarsUnder(ctx, w, mcfg)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -73,5 +73,5 @@ func (s *Suite) CacheSpeedups(ctx context.Context, w *workloads.Workload) (perfe
 		return 0, 0, err
 	}
 	return float64(scalarPerfect) / float64(boostPerfect),
-		float64(scalarCached) / float64(boostCached.res.Cycles), nil
+		float64(scalarCached[0]) / float64(boostCached.res.Cycles), nil
 }

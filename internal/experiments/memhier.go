@@ -75,11 +75,11 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 
 	// Measure in parallel. The prefetcher axis only varies the
 	// execution-side memory hierarchy, so each (model, nobl, workload) cell
-	// schedules once and runs under every prefetcher's hierarchy
-	// (Store.runLanes); the pipeline measures the scalar baselines, one
-	// per hierarchy. Each result is kept by index for the rows:
-	// scalars[k*nw+w] is workload w's baseline under hierarchy k,
-	// runs[j*nw+w] its job-j runs.
+	// schedules once and executes once, with a timing lane per
+	// prefetcher's hierarchy (Store.runLanes); each workload's three
+	// scalar baselines are one pipeline call, measured the same way. Each
+	// result is kept by index for the rows: scalars[k*nw+w] is workload
+	// w's baseline under hierarchy k, runs[j*nw+w] its job-j runs.
 	type job struct {
 		model *machine.Model
 		opts  core.Options
@@ -89,10 +89,11 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 		jobs = append(jobs, job{m, core.Options{}})
 		jobs = append(jobs, job{m, core.Options{NoBoostedLoads: true}})
 	}
+	mems := make([]memhier.Config, len(memHierPrefetchers))
 	mcfgs := make([]*memhier.Config, len(memHierPrefetchers))
 	for i, pref := range memHierPrefetchers {
-		mcfg := AblationMemConfig(pref)
-		mcfgs[i] = &mcfg
+		mems[i] = AblationMemConfig(pref)
+		mcfgs[i] = &mems[i]
 	}
 	nw := len(s.Workloads)
 	scalars := make([]int64, len(mcfgs)*nw)
@@ -100,11 +101,11 @@ func (s *Suite) MemHierAblation(ctx context.Context) ([]MemHierRow, error) {
 	if err := cache.ForEach(ctx, (len(jobs)+1)*nw, s.Runner.workers(), func(ctx context.Context, i int) error {
 		w := s.Workloads[i%nw]
 		if i < nw {
-			for k, mcfg := range mcfgs {
-				scalar, err := s.Store.scalar(ctx, w, mcfg)
-				if err != nil {
-					return err
-				}
+			cycles, err := s.Store.scalarsUnder(ctx, w, mems...)
+			if err != nil {
+				return err
+			}
+			for k, scalar := range cycles {
 				scalars[k*nw+i] = scalar
 			}
 			return nil

@@ -125,17 +125,24 @@ func (st *Store) compile(ctx context.Context, w *workloads.Workload, alloc bool)
 	return st.pipe.CompileWorkload(ctx, w, boosting.WithInfiniteRegisters())
 }
 
-// scalar returns the workload's R2000 baseline under the memory
-// hierarchy (nil = perfect memory).
-func (st *Store) scalar(ctx context.Context, w *workloads.Workload, mem *memhier.Config) (int64, error) {
+// scalar returns the workload's R2000 baseline with perfect memory.
+func (st *Store) scalar(ctx context.Context, w *workloads.Workload) (int64, error) {
 	c, err := st.compile(ctx, w, true)
 	if err != nil {
 		return 0, err
 	}
-	if mem == nil {
-		return st.pipe.ScalarCycles(ctx, c)
+	return st.pipe.ScalarCycles(ctx, c)
+}
+
+// scalarsUnder returns the workload's R2000 baselines under the memory
+// hierarchies, which the pipeline measures on one schedule in one
+// execution.
+func (st *Store) scalarsUnder(ctx context.Context, w *workloads.Workload, mems ...memhier.Config) ([]int64, error) {
+	c, err := st.compile(ctx, w, true)
+	if err != nil {
+		return nil, err
 	}
-	return st.pipe.ScalarCycles(ctx, c, boosting.WithMemHier(*mem))
+	return st.pipe.ScalarCyclesUnder(ctx, c, mems...)
 }
 
 // measure returns a static cell's verified cycle count with perfect
@@ -161,9 +168,9 @@ func (st *Store) run(ctx context.Context, w *workloads.Workload, model *machine.
 }
 
 // runLanes runs one static cell under several memory hierarchies: a
-// private clone is scheduled and predecoded once, and sim.ExecBatch runs
-// it under each hierarchy in turn. Each run's verified result enters the
-// memo under the key a solo run of it uses.
+// private clone is scheduled and predecoded once, and sim.ExecBatch
+// executes it once with a timing lane per hierarchy. Each run's verified
+// result enters the memo under the key a solo run of it uses.
 func (st *Store) runLanes(ctx context.Context, w *workloads.Workload, model *machine.Model,
 	opts core.Options, alloc bool, mems []*memhier.Config) ([]verified, error) {
 	// The batch body runs at most once, on the first memo miss; runs

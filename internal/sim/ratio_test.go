@@ -56,18 +56,18 @@ func TestFastCoreOracleRatio(t *testing.T) {
 // TestBatchThroughputRatio times 8 grid cells of one program under 8
 // memory hierarchies, run as 8 cold solo cells (schedule and execute per
 // input, what independent grid cells pay) and as one batched pass
-// (schedule and predecode once, then one ExecBatch, which runs the 8
-// hierarchies one after another). On the schedule-dominated short kernel
-// (a fixed-seed generated program, register-allocated and profiled) the
-// batch must at least double per-input throughput; on eqntott it gains
-// only the amortized schedule and must stay >= 0.9x.
+// (schedule and predecode once, then one ExecBatch, which executes the
+// program once with a timing lane per hierarchy). On the
+// schedule-dominated short kernel (a fixed-seed generated program,
+// register-allocated and profiled) the batch must at least double
+// per-input throughput. On eqntott, execution dominates, so the row
+// measures the shared functional work and must reach 1.5x: a batch that
+// ran its hierarchies one after another reads about 1x there.
 //
-// The eqntott row sits near 1x, and a busy host can keep one side off its
-// floor for many rounds: on a shared 2-vCPU host about one run in 35 read
-// under 0.9x after 30 rounds, and one in about 90 after 90. So a row under
-// its bound runs further blocks of 30 rounds, up to 180, and is judged on
-// each side's fastest run over all rounds run. More rounds only bring
-// each side closer to its floor, so a real slowdown still fails.
+// A busy host can keep one side off its floor for many rounds, so a row
+// under its bound runs further blocks of 30 rounds, up to 180, and is
+// judged on each side's fastest run over all rounds run. More rounds only
+// bring each side closer to its floor, so a real slowdown still fails.
 func TestBatchThroughputRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing ratio in -short mode")
@@ -90,7 +90,7 @@ func TestBatchThroughputRatio(t *testing.T) {
 		name    string
 		master  *prog.Program
 		minGain float64
-	}{{"short-kernel", short, 2}, {"eqntott", compileWorkload(t, "eqntott"), 0.9}} {
+	}{{"short-kernel", short, 2}, {"eqntott", compileWorkload(t, "eqntott"), 1.5}} {
 		schedule := func() *machine.SchedProgram {
 			sp, err := core.Schedule(prog.Clone(row.master), machine.Boost7(), core.Options{})
 			if err != nil {
