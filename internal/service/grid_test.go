@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -123,5 +125,78 @@ func TestGridCancelledHasNoBody(t *testing.T) {
 		if status, v := s.grid(ctx, req); status != 0 || v != nil {
 			t.Errorf("cancelled grid (mem_sweep %d) = %d, %v; want 0, nil", len(req.MemSweep), status, v)
 		}
+	}
+}
+
+// TestGridResponseGolden pins the sha256 of each /v1/grid body below, so
+// a change to how the pipeline shares schedules, runs or baselines
+// between cells cannot move a byte of what a client reads. Each case runs
+// on a fresh server. The cases cover full ablation sweeps (awk schedules
+// 10 distinct programs for its 25 cells, eqntott 25), memory sweeps of 2
+// and 3 hierarchies at parallelism 1 and 3 over cells whose schedules
+// repeat, repeated names, and a row error: the poisoned case installs a
+// grep artifact whose reference output is altered, so every grep run
+// fails verification. After an intended change to the bodies, the
+// failure message prints each case's new digest.
+func TestGridResponseGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid sweeps in -short mode")
+	}
+	const (
+		ablationModels = `"models": ["NoBoost", "Squashing", "Boost1", "MinBoost3", "Boost7"]`
+		memCells       = `"workloads": ["grep", "compress"], "models": ["MinBoost3", "Boost7"], "ablations": ["baseline", "no-disamb"]`
+		small          = `{"l1_sets": 64, "l1_ways": 1, "l1_line_bytes": 16}`
+		stride         = `{"l1_sets": 64, "l1_ways": 1, "l1_line_bytes": 16, "prefetch": "stride"}`
+		stream         = `{"l1_sets": 32, "l1_ways": 2, "l1_line_bytes": 16, "prefetch": "stream"}`
+		sweep2         = `"mem_sweep": [` + small + `, ` + stride + `]`
+		sweep3         = `"mem_sweep": [` + small + `, ` + stride + `, ` + stream + `]`
+	)
+	for _, tc := range []struct {
+		name, body string
+		poison     bool
+		want       string
+	}{
+		{"awk-ablations", `{"workloads": ["awk"], ` + ablationModels + `, "parallelism": 3}`, false,
+			"ef1d8ea44509d9a44d9e3e94136008fc9751a5ccf3cf51e47cd00558e3205ea3"},
+		{"eqntott-ablations", `{"workloads": ["eqntott"], ` + ablationModels + `, "parallelism": 3}`, false,
+			"631f300b2a0db39645cdf071876be5f0957682a22103ea9c2627f82ced2cbd9b"},
+		{"sweep2-p1", `{` + memCells + `, "parallelism": 1, ` + sweep2 + `}`, false,
+			"cae102cb9bee100ba114a1fbe48660564e065d2e2760bd52c064323ecf1296cb"},
+		{"sweep2-p3", `{` + memCells + `, "parallelism": 3, ` + sweep2 + `}`, false,
+			"cae102cb9bee100ba114a1fbe48660564e065d2e2760bd52c064323ecf1296cb"},
+		{"sweep3-p1", `{` + memCells + `, "parallelism": 1, ` + sweep3 + `}`, false,
+			"ed8ff5378e0ab669ed36373f26f9cb1738ca4eb86cfc1c2fbbfa71823153de38"},
+		{"sweep3-p3", `{` + memCells + `, "parallelism": 3, ` + sweep3 + `}`, false,
+			"ed8ff5378e0ab669ed36373f26f9cb1738ca4eb86cfc1c2fbbfa71823153de38"},
+		{"duplicate-names", `{"workloads": ["grep", "grep"], "models": ["MinBoost3", "Boost1", "MinBoost3"],
+			"ablations": ["baseline", "no-disamb", "baseline"]}`, false,
+			"b4baebadcd04940d5c1570f59a293e41c3a749a1226ce3a305932ae7a892b28b"},
+		{"row-error", `{"workloads": ["grep", "compress"], "models": ["NoBoost", "MinBoost3"],
+			"ablations": ["baseline", "no-disamb"]}`, true,
+			"78d004df23d85c8161a5420bab4013372727b6088b1d8228b4c11a3f22c06a3f"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{GridParallelism: 3})
+			if tc.poison {
+				ctx := context.Background()
+				c, err := boosting.NewPipeline().Compile(ctx, "grep")
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := c.Artifact()
+				a.Ref.Out = append([]uint32(nil), a.Ref.Out...)
+				a.Ref.Out[0]++
+				if _, err := s.Pipeline().CompileFromArtifact(ctx, a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			resp, b := post(t, ts, "/v1/grid", tc.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("grid = %d: %s", resp.StatusCode, b)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.want {
+				t.Errorf("body digest %s, want %s; body:\n%s", got, tc.want, b)
+			}
+		})
 	}
 }
