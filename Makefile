@@ -15,7 +15,7 @@ COVER_FLOOR_MEMHIER ?= 90
 COVER_FLOOR_PROG ?= 91
 COVER_FLOOR_REGALLOC ?= 97
 
-.PHONY: all test test-short test-race bench experiments experiments-golden fuzz fuzz-quick fuzz-smoke cover oracle-guard vet clean
+.PHONY: all test test-short test-race bench experiments experiments-golden fuzz fuzz-quick fuzz-smoke cover oracle-guard layout vet clean
 
 all: vet test test-race fuzz-quick
 
@@ -104,6 +104,22 @@ oracle-guard:
 		echo "oracle-guard: cmd/boostd links boosting/internal/experiments"; exit 1; \
 	fi; \
 	echo "oracle-guard: cmd/boostd does not link internal/experiments"
+
+# layout builds the perfbench binary as perfbench/run.sh does, into a
+# temporary directory, and prints where the simulators' hot functions
+# sit relative to a 64-byte boundary. Link layout alone moves the
+# benchmark's simulation rows by about 10%, so compare these offsets on
+# both sides of a change before reading its timings.
+layout:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	(cd perfbench && CGO_ENABLED=0 GOFLAGS=-mod=mod $(GO) build -o "$$dir/perfbench" .); \
+	$(GO) tool nm "$$dir/perfbench" > "$$dir/nm"; \
+	for sym in 'boosting/internal/sim.(*fastState).runBlock' 'boosting/internal/sim.runBlock' \
+			'boosting/internal/dynsched.Simulate'; do \
+		addr=$$(awk -v s="$$sym" '$$3 == s { print $$1; exit }' "$$dir/nm"); \
+		if [ -z "$$addr" ]; then echo "layout: $$sym not in the binary"; exit 1; fi; \
+		echo "layout: $$sym 0x$$addr mod 64 = $$((0x$$addr % 64))"; \
+	done
 
 vet:
 	$(GO) vet ./...

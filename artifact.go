@@ -2,6 +2,7 @@ package boosting
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"sort"
 
@@ -115,7 +116,7 @@ func compiledFromArtifact(a *artifact.Artifact, source string) *Compiled {
 		acc:       a.Accuracy,
 		stats:     a.Stats,
 		source:    source,
-		scalars:   newBaselines(),
+		scalars:   newRuns(),
 		scalarCyc: a.ScalarCycles,
 	}
 	for _, v := range a.Variants {
@@ -128,6 +129,32 @@ func compiledFromArtifact(a *artifact.Artifact, source string) *Compiled {
 type schedVariant struct {
 	sp    *machine.SchedProgram
 	stats *CompileStats
+
+	// The fields below are guarded by the compiled program's mu.
+	// digest is artifact.ScheduleDigest(sp) once hashed is set.
+	digest [sha256.Size]byte
+	hashed bool
+	// runs holds sp's executions: its own, or those of an earlier-run
+	// variant with the same digest (nil until the variant first runs).
+	runs *runs
+}
+
+// compileStats is the variant's schedule report, empty when it was not
+// recorded.
+func (v *schedVariant) compileStats() *CompileStats {
+	if v.stats == nil {
+		return &CompileStats{}
+	}
+	return v.stats
+}
+
+// scheduleDigest returns v's ScheduleDigest, computing it on first use.
+// The caller holds the compiled program's mu.
+func (v *schedVariant) scheduleDigest() [sha256.Size]byte {
+	if !v.hashed {
+		v.digest, v.hashed = artifact.ScheduleDigest(v.sp), true
+	}
+	return v.digest
 }
 
 // Source reports where the compiled program came from: "compile" for a
@@ -140,24 +167,49 @@ func (c *Compiled) Source() string {
 	return c.source
 }
 
-// variant returns the recorded schedule for a variant key, if any.
-func (c *Compiled) variant(key string) (*machine.SchedProgram, *CompileStats) {
+// variant returns the recorded schedule for a variant key, or nil.
+func (c *Compiled) variant(key string) *schedVariant {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v, ok := c.variants[key]; ok {
-		return v.sp, v.stats
-	}
-	return nil, nil
+	return c.variants[key]
 }
 
 // addVariant records a schedule under its variant key.
-func (c *Compiled) addVariant(key string, sp *machine.SchedProgram, stats *CompileStats) {
+func (c *Compiled) addVariant(key string, sp *machine.SchedProgram, stats *CompileStats) *schedVariant {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.variants == nil {
 		c.variants = map[string]*schedVariant{}
 	}
-	c.variants[key] = &schedVariant{sp: sp, stats: stats}
+	v := &schedVariant{sp: sp, stats: stats}
+	c.variants[key] = v
+	return v
+}
+
+// runsOf returns the runs v's executions share: those of the first
+// earlier-run variant of c for the same model whose schedule has v's
+// ScheduleDigest, or v's own. Only a variant's first run looks, and it
+// hashes only when another variant of the model's fingerprint ran
+// before it, so a program run on one variant per model never hashes.
+func (c *Compiled) runsOf(v *schedVariant, model *machine.Model) *runs {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v.runs != nil {
+		return v.runs
+	}
+	fp := artifact.ModelFingerprint(model)
+	for _, e := range c.ran[fp] {
+		if e.scheduleDigest() == v.scheduleDigest() {
+			v.runs = e.runs
+			return v.runs
+		}
+	}
+	v.runs = newRuns()
+	if c.ran == nil {
+		c.ran = map[string][]*schedVariant{}
+	}
+	c.ran[fp] = append(c.ran[fp], v)
+	return v.runs
 }
 
 // scalarHint returns the memoized scalar baseline carried by the

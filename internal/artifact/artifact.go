@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc64"
+	"sync"
 
 	"boosting/internal/core"
 	"boosting/internal/isa"
@@ -102,8 +103,11 @@ type Artifact struct {
 // built against: every opcode's name, functional-unit class, latency and
 // exception behavior, plus the architectural register count. Two builds
 // with different tables must never exchange artifacts — a schedule is
-// only correct for the latencies it was scheduled against.
-func ISAFingerprint() uint64 {
+// only correct for the latencies it was scheduled against. The tables
+// are fixed at build time, so the digest is computed once.
+func ISAFingerprint() uint64 { return isaFingerprint() }
+
+var isaFingerprint = sync.OnceValue(func() uint64 {
 	h := sha256.New()
 	fmt.Fprintf(h, "archregs=%d;classes=%d;", isa.NumArchRegs, isa.NumClasses)
 	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {
@@ -112,7 +116,7 @@ func ISAFingerprint() uint64 {
 	}
 	sum := h.Sum(nil)
 	return binary.LittleEndian.Uint64(sum[:8])
-}
+})
 
 // ModelFingerprint renders a machine model's structural identity: issue
 // width, slot classes, boosting hardware and exception overhead — but not
@@ -331,6 +335,17 @@ func EncodeSchedProgram(sp *machine.SchedProgram) ([]byte, error) {
 	}
 	w.u64(crc64.Checksum(w.buf, crcTable))
 	return w.bytes(), nil
+}
+
+// ScheduleDigest is the sha256 of a scheduled program's encoding without
+// its pass report: the program image, the machine model and the schedule,
+// everything the simulator reads of it. Two schedules with equal digests
+// execute identically under any ExecConfig.
+func ScheduleDigest(sp *machine.SchedProgram) [sha256.Size]byte {
+	w := &writer{}
+	// Without a pass report to marshal, the encoding cannot fail.
+	_ = encodeVariantBody(w, sp, nil)
+	return sha256.Sum256(w.buf)
 }
 
 // DecodeSchedProgram is the inverse of EncodeSchedProgram, with the same

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,11 +35,12 @@ import (
 //	Simulate  execute → verify against the reference run → normalize by
 //	          the R2000 baseline (ScalarCycles)
 //
-// — and memoizes compiled workloads and their scalar baselines with
-// singleflight deduplication, so one Pipeline can drive many Simulate
-// calls (or a whole Grid) concurrently without ever rebuilding shared
-// work. The experiment harness (internal/experiments), boostd and boostcc
-// all build, baseline and verify through it. All methods are safe for
+// — and memoizes compiled workloads with singleflight deduplication, and
+// on each compiled program the verified runs of its schedules (the R2000
+// baseline among them), so one Pipeline can drive many Simulate calls (or
+// a whole Grid) concurrently without ever rebuilding shared work. The
+// experiment harness (internal/experiments), boostd and boostcc all
+// build, baseline and verify through it. All methods are safe for
 // concurrent use.
 type Pipeline struct {
 	base     config
@@ -95,9 +97,9 @@ type Compiled struct {
 	// "peer", "artifact"); see Source.
 	source string
 
-	// scalars memoizes the R2000 baseline measured on this program, by
-	// memory hierarchy.
-	scalars *baselines
+	// scalars memoizes the runs of the R2000 baseline schedule on this
+	// program, by memory hierarchy.
+	scalars *runs
 
 	// mu guards the accumulating state below. Everything above is
 	// immutable after construction.
@@ -109,6 +111,9 @@ type Compiled struct {
 	// Simulate calls — and warm starts from a decoded artifact — skip
 	// the scheduler.
 	variants map[string]*schedVariant
+	// ran lists, by model fingerprint and in the order they first ran,
+	// the variants that own their runs; see runsOf.
+	ran map[string][]*schedVariant
 }
 
 // Program returns a private, mutation-safe clone of the compiled test
@@ -245,7 +250,7 @@ func (p *Pipeline) CompileWorkload(ctx context.Context, w *workloads.Workload, o
 			acc:               hits.Accuracy(ref.Branches),
 			stats:             pm.Stats(),
 			source:            "compile",
-			scalars:           newBaselines(),
+			scalars:           newRuns(),
 		}
 		p.saveArtifact(ctx, cfg, c)
 		return c, nil
@@ -326,7 +331,7 @@ func (p *Pipeline) CompileAsm(ctx context.Context, asm string, maxSteps int64, o
 		acc:               profile.SelfAccuracy(pr),
 		stats:             pm.Stats(),
 		source:            "compile",
-		scalars:           newBaselines(),
+		scalars:           newRuns(),
 	}, nil
 }
 
@@ -340,29 +345,28 @@ func (p *Pipeline) Schedule(ctx context.Context, c *Compiled, model *machine.Mod
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	sp, stats, _, err := p.schedule(c, model, p.base.apply(opts))
-	return sp, stats, err
+	v, _, err := p.schedule(c, model, p.base.apply(opts))
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.sp, v.compileStats(), nil
 }
 
-// schedule is Schedule under resolved options; its third result reports
-// whether the scheduler ran.
-func (p *Pipeline) schedule(c *Compiled, model *machine.Model, cfg config) (*machine.SchedProgram, *CompileStats, bool, error) {
+// schedule is Schedule under resolved options, returning the recorded
+// variant; its second result reports whether the scheduler ran.
+func (p *Pipeline) schedule(c *Compiled, model *machine.Model, cfg config) (*schedVariant, bool, error) {
 	key := artifact.VariantKey(model, cfg.core)
-	if sp, stats := c.variant(key); sp != nil {
-		if stats == nil {
-			stats = &CompileStats{}
-		}
-		return sp, stats, false, nil
+	if v := c.variant(key); v != nil {
+		return v, false, nil
 	}
 	pm := passes.NewManager()
 	pm.VerifyEach = cfg.verifyEach
 	sp, err := pm.Schedule(c.Program(), model, cfg.core)
 	if err != nil {
-		return nil, nil, false, fmt.Errorf("schedule: %w", err)
+		return nil, false, fmt.Errorf("schedule: %w", err)
 	}
 	p.schedules.Add(1)
-	c.addVariant(key, sp, pm.Stats())
-	return sp, pm.Stats(), true, nil
+	return c.addVariant(key, sp, pm.Stats()), true, nil
 }
 
 // Simulate schedules the compiled program for the model (see Schedule),
@@ -375,9 +379,11 @@ func (p *Pipeline) Simulate(ctx context.Context, c *Compiled, model *machine.Mod
 }
 
 // simulate runs c on the model under every config. The configs must
-// share one schedule variant (they may differ in memory hierarchy), so
-// the schedule is made or fetched and predecoded once, the program
-// executes once with a timing lane per config (sim's ExecBatch), and the
+// share one schedule variant (they may differ in memory hierarchy). The
+// variant's runs come from c's run table, which keeps one verified run
+// per (schedule, hierarchy) and shares it between schedules with equal
+// digests (runsOf): the hierarchies the table is missing are executed
+// together, once, with a timing lane each (sim's ExecBatch), and the
 // baselines of the runs that verified are asked for in one call.
 // results[i]/errs[i] are what Simulate under cfgs[i] reports.
 func (p *Pipeline) simulate(ctx context.Context, c *Compiled, model *machine.Model, cfgs []config) (results []*Result, errs []error) {
@@ -388,6 +394,7 @@ func (p *Pipeline) simulate(ctx context.Context, c *Compiled, model *machine.Mod
 		}
 		return results, errs
 	}
+	// Whichever wait a cancellation ends, it reads the same.
 	canceled := func(err error) error {
 		return fmt.Errorf("boosting: simulate %s on %s: %w", c.Workload, model, err)
 	}
@@ -395,40 +402,52 @@ func (p *Pipeline) simulate(ctx context.Context, c *Compiled, model *machine.Mod
 		return failAll(canceled(err))
 	}
 	on := "on " + model.Name
-	sp, schedStats, save, err := p.schedule(c, model, cfgs[0])
+	v, save, err := p.schedule(c, model, cfgs[0])
 	if err != nil {
 		return failAll(c.fail(on, err))
 	}
-	pd, err := sim.Predecode(sp)
-	if err != nil {
-		return failAll(c.fail(on, fmt.Errorf("simulation: %w", err)))
+	mems := make([]*memhier.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		mems[i] = cfg.mem
 	}
-	if err := ctx.Err(); err != nil {
+	keys := memKeys(mems)
+	rs := c.runsOf(v, model)
+	got, _, err := rs.fill(ctx, keys, func(slots []int) {
+		pd, err := sim.Predecode(v.sp)
+		if err != nil {
+			for _, i := range slots {
+				rs.put(keys[i], run{err: fmt.Errorf("simulation: %w", err)})
+			}
+			return
+		}
+		execCfgs := make([]sim.ExecConfig, len(slots))
+		for k, i := range slots {
+			execCfgs[k] = sim.ExecConfig{MaxCycles: c.maxCycles, Mem: mems[i]}
+		}
+		runs, runErrs := pd.ExecBatch(execCfgs)
+		for k, i := range slots {
+			if runErrs[k] != nil {
+				runErrs[k] = fmt.Errorf("simulation: %w", runErrs[k])
+			}
+			rs.put(keys[i], p.verified(c, runs[k], runErrs[k]))
+		}
+	})
+	if err != nil {
 		return failAll(canceled(err))
 	}
-	execCfgs := make([]sim.ExecConfig, len(cfgs))
-	for i, cfg := range cfgs {
-		execCfgs[i] = sim.ExecConfig{MaxCycles: c.maxCycles, Mem: cfg.mem}
-	}
-	runs, runErrs := pd.ExecBatch(execCfgs)
 	var verified []int
-	var mems []*memhier.Config
-	for i, res := range runs {
-		if runErrs[i] != nil {
-			errs[i] = c.fail(on, fmt.Errorf("simulation: %w", runErrs[i]))
-			continue
-		}
-		p.countRun(res.Cycles, res.BoostedExec, res.Squashed)
-		if err := c.Verify(res.Out, res.MemHash); err != nil {
-			errs[i] = c.fail(on, err)
+	var verifiedMems []*memhier.Config
+	for i, r := range got {
+		if r.err != nil {
+			errs[i] = c.fail(on, r.err)
 			continue
 		}
 		verified = append(verified, i)
-		mems = append(mems, cfgs[i].mem)
+		verifiedMems = append(verifiedMems, mems[i])
 	}
-	scalars, scalarErrs := p.scalarCycles(ctx, c, mems)
+	scalars, scalarErrs := p.scalarCycles(ctx, c, verifiedMems, canceled)
 	for k, i := range verified {
-		cfg, res, scalar := cfgs[i], runs[i], scalars[k]
+		res, scalar := got[i].res, scalars[k]
 		if scalarErrs[k] != nil {
 			errs[i] = scalarErrs[k]
 			continue
@@ -438,11 +457,19 @@ func (p *Pipeline) simulate(ctx context.Context, c *Compiled, model *machine.Mod
 		// base compile matches it (the standard, allocated, perfect-memory
 		// configuration — a hierarchy-specific baseline must not poison the
 		// artifact's hint).
-		if cfg.mem == nil && !p.base.infiniteReg && c.setScalarCycles(scalar) {
+		if mems[i] == nil && !p.base.infiniteReg && c.setScalarCycles(scalar) {
 			save = true
 		}
+		// A run the table shares is the cell's own: it holds no pointer
+		// into another cell's Result. Its output is the reference's,
+		// which it verified against.
+		var mem *MemStats
+		if res.Mem != nil {
+			m := *res.Mem
+			mem = &m
+		}
 		results[i] = &Result{
-			Compile:            schedStats,
+			Compile:            v.compileStats(),
 			Cycles:             res.Cycles,
 			ScalarCycles:       scalar,
 			Speedup:            float64(scalar) / float64(res.Cycles),
@@ -452,10 +479,10 @@ func (p *Pipeline) simulate(ctx context.Context, c *Compiled, model *machine.Mod
 			MemStalls:          res.MemStalls,
 			BoostedMemStalls:   res.BoostedMemStalls,
 			SquashedMemStalls:  res.SquashedMemStalls,
-			Mem:                res.Mem,
+			Mem:                mem,
 			PredictionAccuracy: c.acc,
-			ObjectGrowth:       sp.ObjectGrowth(),
-			Out:                res.Out,
+			ObjectGrowth:       v.sp.ObjectGrowth(),
+			Out:                slices.Clone(c.ref.Out),
 		}
 	}
 	if save {
@@ -486,7 +513,9 @@ func (p *Pipeline) SimulateDynamic(ctx context.Context, c *Compiled, renaming bo
 	if err := c.Verify(res.Out, res.MemHash); err != nil {
 		return nil, c.fail("dynamic", err)
 	}
-	scalars, errs := p.scalarCycles(ctx, c, []*memhier.Config{pcfg.mem})
+	scalars, errs := p.scalarCycles(ctx, c, []*memhier.Config{pcfg.mem}, func(err error) error {
+		return fmt.Errorf("boosting: simulate %s dynamic: %w", c.Workload, err)
+	})
 	if errs[0] != nil {
 		return nil, errs[0]
 	}
@@ -522,7 +551,7 @@ func (p *Pipeline) Run(ctx context.Context, workload string, model *machine.Mode
 // resolves without scheduling anything, as long as the pipeline's base
 // compile is the standard allocated configuration it was measured under.
 func (p *Pipeline) ScalarCycles(ctx context.Context, c *Compiled, opts ...Option) (int64, error) {
-	cycles, errs := p.scalarCycles(ctx, c, []*memhier.Config{p.base.apply(opts).mem})
+	cycles, errs := p.scalarCycles(ctx, c, []*memhier.Config{p.base.apply(opts).mem}, bare)
 	return cycles[0], errs[0]
 }
 
@@ -535,7 +564,7 @@ func (p *Pipeline) ScalarCyclesUnder(ctx context.Context, c *Compiled, mems ...M
 	for i := range mems {
 		ptrs[i] = &mems[i]
 	}
-	cycles, errs := p.scalarCycles(ctx, c, ptrs)
+	cycles, errs := p.scalarCycles(ctx, c, ptrs, bare)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -544,52 +573,122 @@ func (p *Pipeline) ScalarCyclesUnder(ctx context.Context, c *Compiled, mems ...M
 	return cycles, nil
 }
 
-// baselines memoizes one compiled program's R2000 baselines by memory
-// hierarchy key, errors included. mu guards m. lock is a one-slot
-// semaphore held across a lookup that misses and the measurement of what
-// it missed, so two callers never both schedule the baseline for the
-// same hierarchies. Only its holder writes m; a lookup that misses
-// nothing takes mu alone and never waits for a measurement.
-type baselines struct {
+// runs memoizes the executions of one schedule of a compiled program by
+// memory-hierarchy key: the counters of each verified run, or the
+// deterministic error that ended it, never a context error. A compiled
+// program's run table is made of these: one per distinct schedule it
+// has run, the R2000 baseline's included. mu guards m. lock is a one-slot
+// semaphore held across a lookup that misses and the execution of what
+// it missed, so two callers never both run one schedule under one
+// hierarchy. Only its holder writes m; a lookup that misses nothing takes
+// mu alone and never waits for an execution.
+type runs struct {
 	lock chan struct{}
 	mu   sync.Mutex
-	m    map[string]baseline
+	m    map[string]run
 }
 
-type baseline struct {
-	cycles int64
-	err    error
+// run is one memoized execution. res keeps the counters of a verified
+// run without its output, which equals the reference run's.
+type run struct {
+	res *sim.ExecResult
+	err error
 }
 
-func newBaselines() *baselines {
-	return &baselines{lock: make(chan struct{}, 1), m: map[string]baseline{}}
+func newRuns() *runs {
+	return &runs{lock: make(chan struct{}, 1), m: map[string]run{}}
 }
 
-// get fills got with the memoized baselines of keys, slot for slot, and
+// memKeys returns the run-table key of each hierarchy (nil = perfect
+// memory).
+func memKeys(mems []*memhier.Config) []string {
+	keys := make([]string, len(mems))
+	for i, mem := range mems {
+		keys[i] = "perfect"
+		if mem != nil {
+			keys[i] = mem.Key()
+		}
+	}
+	return keys
+}
+
+// get fills got with the memoized runs of keys, slot for slot, and
 // reports whether every key was memoized.
-func (bs *baselines) get(keys []string, got []baseline) bool {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
+func (rs *runs) get(keys []string, got []run) bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
 	for i, key := range keys {
-		b, ok := bs.m[key]
+		r, ok := rs.m[key]
 		if !ok {
 			return false
 		}
-		got[i] = b
+		got[i] = r
 	}
 	return true
 }
 
-// put memoizes b under key. The caller holds lock.
-func (bs *baselines) put(key string, b baseline) {
-	bs.mu.Lock()
-	bs.m[key] = b
-	bs.mu.Unlock()
+// put memoizes r under key. The caller holds lock.
+func (rs *runs) put(key string, r run) {
+	rs.mu.Lock()
+	rs.m[key] = r
+	rs.mu.Unlock()
 }
 
+// fill returns the memoized run of each key, slot for slot, and the keys
+// this call filled. If any key is missing, fill waits for the lock,
+// returning ctx's error if ctx ends first, and looks again under it:
+// measure gets the first slot of each key still missing and must put a
+// run under each.
+func (rs *runs) fill(ctx context.Context, keys []string, measure func(slots []int)) ([]run, map[string]bool, error) {
+	got := make([]run, len(keys))
+	if rs.get(keys, got) {
+		return got, nil, nil
+	}
+	select {
+	case rs.lock <- struct{}{}:
+	case <-ctx.Done():
+		return nil, nil, ctx.Err()
+	}
+	defer func() { <-rs.lock }()
+	// The holder reads m without mu, since no one else writes it.
+	fresh := map[string]bool{}
+	var missing []int
+	for i, key := range keys {
+		if _, ok := rs.m[key]; ok || fresh[key] {
+			continue
+		}
+		fresh[key] = true
+		missing = append(missing, i)
+	}
+	if len(missing) > 0 {
+		measure(missing)
+	}
+	rs.get(keys, got)
+	return got, fresh, nil
+}
+
+// verified is the run a table keeps of one execution: the error that
+// ended it, or, once its output and final memory match c's reference
+// run, its counters with the output dropped.
+func (p *Pipeline) verified(c *Compiled, res *sim.ExecResult, err error) run {
+	if err != nil {
+		return run{err: err}
+	}
+	p.countRun(res.Cycles, res.BoostedExec, res.Squashed)
+	if err := c.Verify(res.Out, res.MemHash); err != nil {
+		return run{err: err}
+	}
+	res.Out = nil
+	return run{res: res}
+}
+
+// bare leaves a context error as it is.
+func bare(err error) error { return err }
+
 // scalarCycles returns c's R2000 baseline under each hierarchy (nil =
-// perfect memory), slot for slot.
-func (p *Pipeline) scalarCycles(ctx context.Context, c *Compiled, mems []*memhier.Config) ([]int64, []error) {
+// perfect memory), slot for slot. An end of ctx fails every slot with
+// canceled of ctx's error.
+func (p *Pipeline) scalarCycles(ctx context.Context, c *Compiled, mems []*memhier.Config, canceled func(error) error) ([]int64, []error) {
 	cycles, errs := make([]int64, len(mems)), make([]error, len(mems))
 	failAll := func(err error) ([]int64, []error) {
 		for i := range errs {
@@ -611,55 +710,37 @@ func (p *Pipeline) scalarCycles(ctx context.Context, c *Compiled, mems []*memhie
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return failAll(err)
+		return failAll(canceled(err))
 	}
-	bs := bc.scalars
-	keys := make([]string, len(mems))
-	for i, mem := range mems {
-		keys[i] = "perfect"
-		if mem != nil {
-			keys[i] = mem.Key()
-		}
-	}
-	got := make([]baseline, len(mems))
-	fresh := map[string]bool{} // keys this call measures or takes from a hint
-	if !bs.get(keys, got) {
-		select {
-		case bs.lock <- struct{}{}:
-		case <-ctx.Done():
-			return failAll(ctx.Err())
-		}
-		defer func() { <-bs.lock }()
-		// Look again under the lock: a measurement this call waited for
-		// may have filled some keys. The holder reads m without mu, since
-		// no one else writes it.
-		var missing []int // the first slot of each key to measure
-		for i, mem := range mems {
-			if _, ok := bs.m[keys[i]]; ok || fresh[keys[i]] {
-				continue
-			}
-			fresh[keys[i]] = true
-			if mem == nil && !p.base.infiniteReg {
+	keys := memKeys(mems)
+	got, fresh, err := bc.scalars.fill(ctx, keys, func(slots []int) {
+		var measure []int
+		for _, i := range slots {
+			if mems[i] == nil && !p.base.infiniteReg {
 				if hint := max(c.scalarHint(), bc.scalarHint()); hint > 0 {
-					bs.put(keys[i], baseline{cycles: hint})
+					bc.scalars.put(keys[i], run{res: &sim.ExecResult{Cycles: hint}})
 					continue
 				}
 			}
-			missing = append(missing, i)
+			measure = append(measure, i)
 		}
-		if len(missing) > 0 {
-			p.measureScalars(bc, mems, keys, missing)
+		if len(measure) > 0 {
+			p.measureScalars(bc, mems, keys, measure)
 		}
-		bs.get(keys, got)
+	})
+	if err != nil {
+		return failAll(canceled(err))
 	}
 	for i, key := range keys {
-		b := got[i]
-		cycles[i], errs[i] = b.cycles, b.err
+		r := got[i]
+		if errs[i] = r.err; r.err == nil {
+			cycles[i] = r.res.Cycles
+		}
 		switch {
 		case fresh[key]:
 			delete(fresh, key)
 			p.baseMisses.Add(1)
-		case b.err == nil:
+		case r.err == nil:
 			p.baseHits.Add(1)
 		}
 	}
@@ -670,16 +751,11 @@ func (p *Pipeline) scalarCycles(ctx context.Context, c *Compiled, mems []*memhie
 // hierarchies of the given slots in one ExecBatch, memoizing each slot's
 // verified baseline or error under its key. The caller holds the lock.
 func (p *Pipeline) measureScalars(bc *Compiled, mems []*memhier.Config, keys []string, slots []int) {
-	record := func(i int, cycles int64, err error) {
-		if err != nil {
-			err = bc.fail("on R2000", err)
-		}
-		bc.scalars.put(keys[i], baseline{cycles, err})
-	}
+	fail := func(err error) run { return run{err: bc.fail("on R2000", err)} }
 	sp, err := core.Schedule(bc.Program(), machine.Scalar(), core.Options{LocalOnly: true})
 	if err != nil {
 		for _, i := range slots {
-			record(i, 0, fmt.Errorf("scalar baseline schedule: %w", err))
+			bc.scalars.put(keys[i], fail(fmt.Errorf("scalar baseline schedule: %w", err)))
 		}
 		return
 	}
@@ -690,17 +766,11 @@ func (p *Pipeline) measureScalars(bc *Compiled, mems []*memhier.Config, keys []s
 	}
 	results, errs := sim.ExecBatch(sp, cfgs)
 	for k, i := range slots {
-		res, err := results[k], errs[k]
-		if err != nil {
-			record(i, 0, fmt.Errorf("scalar baseline: %w", err))
-			continue
+		r := p.verified(bc, results[k], errs[k])
+		if r.err != nil {
+			r = fail(fmt.Errorf("scalar baseline: %w", r.err))
 		}
-		p.countRun(res.Cycles, res.BoostedExec, res.Squashed)
-		if err := bc.Verify(res.Out, res.MemHash); err != nil {
-			record(i, 0, fmt.Errorf("scalar baseline: %w", err))
-			continue
-		}
-		record(i, res.Cycles, nil)
+		bc.scalars.put(keys[i], r)
 	}
 }
 
@@ -715,7 +785,9 @@ type Counts struct {
 	// Simulations counts completed machine runs — Simulate and Grid
 	// runs, scalar baselines and dynamic runs — and SimCycles,
 	// BoostedExec and Squashed total their cycles and speculative
-	// activity.
+	// activity. They count executions, not results: cells whose
+	// schedules are byte-identical share one run per hierarchy (see
+	// Grid).
 	Simulations int64
 	SimCycles   int64
 	BoostedExec int64
@@ -798,7 +870,10 @@ type GridResult struct {
 // pairs, scalar baselines — are built exactly once across the whole
 // grid. Cells that share a workload, register mode, model and scheduler
 // options (a memory sweep, or a repeated cell) form one group, which one
-// worker runs on one schedule and one predecode. A failing cell records
+// worker runs on one schedule. Groups whose schedules are byte-identical
+// (an ablation that leaves the schedule as it was) execute it once per
+// hierarchy between them, through the compiled program's run table;
+// each cell still reports its own CompileStats. A failing cell records
 // its error in its GridResult and does not stop the other cells;
 // cancelling ctx stops the batch, every unfinished cell records the
 // context error, and Grid returns that error wrapped alongside the

@@ -220,7 +220,9 @@ func TestPipelineGrid(t *testing.T) {
 }
 
 // TestPipelineCancellation: a cancelled context aborts Compile, Simulate
-// and Grid with a wrapped context.Canceled.
+// and Grid with a wrapped context.Canceled. Simulate's error reads the
+// same whichever wait the cancellation ends: its start, the lock of its
+// schedule's runs, or the lock of the scalar baseline's runs.
 func TestPipelineCancellation(t *testing.T) {
 	p := NewPipeline(WithParallelism(2))
 	cancelled, cancel := context.WithCancel(context.Background())
@@ -234,9 +236,41 @@ func TestPipelineCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Simulate(cancelled, c, Models().MinBoost3); !errors.Is(err, context.Canceled) {
-		t.Errorf("Simulate on cancelled ctx: %v", err)
+	m := Models().MinBoost3
+	_, err = p.Simulate(cancelled, c, m)
+	simulateCanceled(t, "at its start", err)
+
+	rs := heldRuns(t, p, c, m)
+	rs.lock <- struct{}{}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	_, err = p.Simulate(ctx, c, m)
+	<-rs.lock
+	simulateCanceled(t, "waiting for its schedule's runs", err)
+
+	// Neither the run nor the baseline is memoized yet. Once the run is,
+	// Simulate is on its way to the held baseline lock.
+	c.scalars.lock <- struct{}{}
+	ctx, cancel = context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Simulate(ctx, c, m)
+		done <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); !rs.get([]string{"perfect"}, make([]run, 1)); {
+		select {
+		case err := <-done:
+			t.Fatalf("Simulate returned %v before its run was memoized", err)
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Simulate's run is not memoized after 10s: it waits for the baseline's lock")
+		}
 	}
+	cancel()
+	err = <-done
+	<-c.scalars.lock
+	simulateCanceled(t, "waiting for its baseline", err)
 
 	var cells []GridCell
 	for _, w := range Workloads() {
